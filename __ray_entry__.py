@@ -37,9 +37,9 @@ from typing import Any
 def entry() -> Any:
     """Flagship KG pipeline on sf0.001-scale transcripts -> triples."""
     from wsid_ray.runtime import configure
-    from wsid_ray.pipelines.flagship import flagship_triples
+    from wsid_ray.pipelines.flagship import run_flagship
     configure()
-    return flagship_triples("sf0.001")
+    return run_flagship("sf0.001").triples
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

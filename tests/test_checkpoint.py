@@ -90,6 +90,72 @@ def test_grown_corpus_matches_fresh_run(full_run, tmp_path, monkeypatch):
     assert grown == run_oracle(files)["triples"]
 
 
+def test_shrunk_corpus_matches_fresh_run(full_run, tmp_path, monkeypatch):
+    """Shrink a 4-file corpus to its first 2 files in the same out dir:
+    the triple partitions of the dropped shards must not be served."""
+    from wsid_ray.pipelines import checkpointed
+    src, _, _ = full_run
+    files = transcript_files("sf0.001")
+    out = str(tmp_path / "shrink")
+    shutil.copytree(src, out)
+    monkeypatch.setattr(checkpointed, "transcript_files",
+                        lambda _scale: files[:2])
+    ckpt = run_checkpointed("sf0.001", out, shard_files=1)
+    assert ckpt.completed_parts("triples") == [0, 1]
+    assert not os.path.exists(ckpt.part_dir("triples", 2))
+    assert triple_set(out) == run_oracle(files[:2])["triples"]
+
+
+def test_fresh_run_reads_each_file_once(tmp_path, monkeypatch):
+    """A fresh run reads every input file once; a resume after losing
+    triple partitions 2-3 reads only those two shards' files."""
+    from collections import Counter
+
+    from wsid_ray.sources import transcripts
+    files = transcript_files("sf0.001")
+    reads = Counter()
+    real = transcripts.read_parquet_clean
+
+    def spy(paths, **kwargs):
+        reads.update(paths)
+        return real(paths, **kwargs)
+
+    monkeypatch.setattr(transcripts, "read_parquet_clean", spy)
+    out = str(tmp_path / "once")
+    ckpt = run_checkpointed("sf0.001", out, shard_files=1)
+    assert reads == Counter(files)
+
+    mpath = os.path.join(out, "manifest.jsonl")
+    with open(mpath) as f:
+        rows = [json.loads(l) for l in f if l.strip()]
+    with open(mpath, "w") as f:
+        f.writelines(json.dumps(r) + "\n" for r in rows
+                     if not (r["stage"] == "triples" and r["part"] >= 2))
+    for p in (2, 3):
+        shutil.rmtree(ckpt.part_dir("triples", p))
+    reads.clear()
+    run_checkpointed("sf0.001", out, shard_files=1)
+    assert reads == Counter(files[2:])
+
+
+def test_manifest_times_the_partition_work(tmp_path, monkeypatch):
+    """A triple row's wall_s covers building the partition's dataset, not
+    only its final write: a 0.5 s dedup must show in it."""
+    import time
+
+    from wsid_ray.pipelines import checkpointed
+    real = checkpointed.dedup_triples
+
+    def slow_dedup(*args, **kwargs):
+        time.sleep(0.5)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checkpointed, "dedup_triples", slow_dedup)
+    ckpt = run_checkpointed("tiny", str(tmp_path / "timed"))
+    rows = [r for r in ckpt.stats() if r["stage"] == "triples"]
+    assert rows and all(r["wall_s"] >= 0.5 for r in rows), rows
+
+
 def test_torn_manifest_row_resumes(full_run, tmp_path):
     """A kill during the manifest append leaves half a row at the end:
     the resume drops it, recomputes that partition and yields the

@@ -177,13 +177,3 @@ def test_text_equality_invariant():
     assert d_raw == d_cooked
     assert len(d_raw) == 8  # tiny has 8 conversations
 
-
-def test_mention_cache_plans_agree(tiny_results, monkeypatch):
-    """object_store / recompute mention-stream plans give identical
-    triples (the auto threshold just picks between them)."""
-    oracle, _ = tiny_results
-    monkeypatch.setenv("WSID_MENTIONS_CACHE", "recompute")
-    art = run_flagship("tiny")
-    eng = {(r["subj"], r["pred"], r["obj"]) for r in art.triples.take_all()}
-    p, r = precision_recall(eng, oracle["triples"])
-    assert p == 1.0 and r == 1.0

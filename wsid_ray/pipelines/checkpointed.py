@@ -1,30 +1,26 @@
-"""Resumable flagship pipeline — per-partition checkpoints with lineage +
-throughput metrics (BASELINE.json:6; SURVEY.md §4.3 checkpoint row).
+"""Resumable flagship pipeline: the plan of ``pipelines/flagship.py`` with
+a checkpointed sink.  Each partition is one manifest row with lineage and
+throughput, timed over the work that builds it (BASELINE.json:6).
 
-Three passes (the price of the two pieces of global state — the sense
-inventory and the canon map — each of which must see the whole corpus):
+  senses, edges, canon   global: the driver-side fit (edges only with
+                         expand_cooc) and the union-find canon map
+  triples/part-<k>       input shard k: linked mentions → assemble →
+                         within-shard dedup, subj-bucketed (S3)
 
-  Pass 1 "senses"  (global):  mentions → cooc → NPMI → Chinese Whispers
-                              → sense_inventory parquet (1 partition).
-  Pass 2 "canon"   (global):  mentions → disambiguate → distinct
-                              (entity_id, kb_id) edges → union-find
-                              → canon_map parquet (1 partition).
-  Pass 3 "triples" (per input shard): mentions → disambiguate → assemble
-                              → within-shard dedup → triples/part-<k>.
+A fresh run reads each input file once.  Each shard's mentions are pinned
+for the fit and disambiguation, then its linked mentions for the canon
+map and its triples.  The global partitions are one unit: if any is
+missing or stale, all are rebuilt from that one read.  Once they are
+done, a resumed run reads only the shards whose triple partition is
+missing (anti-join J5), each as one fused read→tokenize→detect→
+disambiguate chain.  A triple partition's lineage covers its shard's
+files and the global lineage; partitions past the last shard of a shrunk
+corpus are retired.  Conversations must not span input files (the
+fixture generator writes whole conversations per file).
 
-Pass 3 is the bulk of the work and is the resume unit: a killed run skips
-every shard whose manifest row is done (anti-join J5 — the shard list is
-pruned before ``read_parquet``).  Shard boundary assumption (documented
-per SURVEY.md: "document the partitioning assumption"): conversations do
-not span input files, which the fixture generator guarantees by writing
-whole conversations per file; a general ingest would first repartition by
-conv_id hash into shard directories.
-
-Cross-shard duplicate triples are possible (the same (s,p,o) from two
-conversations in different shards); ``triples_dataset`` applies the
-global set-semantics dedup on read, which is one final shuffle over the
-(small) triple set and is independent of shard layout — so a resumed run
-yields a byte-identical triple set to an uninterrupted one.
+Cross-shard duplicate triples are possible; ``triples_dataset`` applies
+the global set-semantics dedup on read, so a resumed run yields the same
+triple set as an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -33,26 +29,16 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..fixtures import transcript_files
-from ..sources.transcripts import read_transcripts
-from ..stages.cooc import cooc_edges
-from ..stages.disambig import disambiguate, inventory_from_rows
-from ..stages.induce import induce_senses
-from ..stages.tokenize import tokenize_batch
 from ..stages.triples import dedup_triples, triples_from_mentions
-from ..stages.unionfind import canonicalize
+from ..stages.triples import write_triples_partitioned
 from ..state.checkpoint import CheckpointManager, lineage_hash
-from .flagship import detect_mentions, entity_kb_edges
-
-
-def _mentions(files: list[str], cfg: PipelineConfig) -> rd.Dataset:
-    turns = read_transcripts("", files=files).map_batches(
-        tokenize_batch, batch_format="pyarrow")
-    return detect_mentions(turns, cfg)
+from ..util import compact_blocks
+from .flagship import (canon_map, edge_maps_from_rows, fit_model, linker,
+                       read_mentions)
 
 
 def _count_parquet(d: str) -> int:
@@ -61,107 +47,85 @@ def _count_parquet(d: str) -> int:
                for f in fs if f.endswith(".parquet"))
 
 
-def _write_ds(ds: rd.Dataset, tmp_dir: str) -> int:
-    ds.write_parquet(tmp_dir)
-    return _count_parquet(tmp_dir)
+def _union(parts: list[rd.Dataset]) -> rd.Dataset:
+    return rd.from_arrow_refs([r for p in parts for r in p.to_arrow_refs()])
 
 
 def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
                      cfg: PipelineConfig = DEFAULT_CONFIG,
                      shard_files: int = 1) -> CheckpointManager:
     """Run (or resume) the flagship pipeline with per-partition
-    checkpoints.  ``shard_files`` = input files per pass-3 partition."""
+    checkpoints.  ``shard_files`` = input files per triple partition."""
     files = transcript_files(sf_dir_or_scale)
     ckpt = CheckpointManager(out_dir)
-    chash = cfg.content_hash()
-    global_lineage = lineage_hash(files, chash)
-
-    def _capped(m: rd.Dataset) -> rd.Dataset:
-        # O3 skew cap applies to the counting/induction stream, exactly as
-        # in flagship.fit_model (ADVICE r01: these knobs were ignored here)
-        if cfg.max_windows_per_term:
-            from ..stages.sampling import cap_windows_per_term
-            return cap_windows_per_term(m, cfg.max_windows_per_term)
-        return m
-
-    # ---- pass 1: sense inventory (global); with expand_cooc also the
-    # pruned edge table (A2 cooc-matrix state), checkpointed alongside ----
-    senses_dir = ckpt.part_dir("senses", 0)
-    need_edges = cfg.expand_cooc
-    edges_missing = need_edges and not ckpt.is_done("edges", 0,
-                                                    global_lineage)
-    if not ckpt.is_done("senses", 0, global_lineage) or edges_missing:
-        mentions = _capped(_mentions(files, cfg))
-        edges = cooc_edges(mentions, cfg.cooc_min_count, cfg.npmi_min)
-        if need_edges:
-            edges = edges.materialize()  # two consumers: sink + induce
-            if edges_missing:
-                ckpt.write_partition("edges", 0, global_lineage,
-                                     lambda tmp: _write_ds(edges, tmp))
-        if not ckpt.is_done("senses", 0, global_lineage):
-            senses = induce_senses(edges, algo=cfg.induce_algo)
-
-            def write(tmp):
-                return _write_ds(senses, tmp)
-            ckpt.write_partition("senses", 0, global_lineage, write)
-
-    inv_rows = pq.read_table(senses_dir).to_pylist()
-    inv_ref = ray.put(inventory_from_rows(inv_rows))
-    edge_ref = None
-    if need_edges:
-        edge_maps: dict[str, dict[tuple[str, str], float]] = {}
-        for r in pq.read_table(ckpt.part_dir("edges", 0)).to_pylist():
-            edge_maps.setdefault(r["term"], {})[(r["w"], r["v"])] = r["npmi"]
-        edge_ref = ray.put(edge_maps)
-
-    def _disambiguate(m: rd.Dataset) -> rd.Dataset:
-        return disambiguate(m, inv_ref, edge_maps_ref=edge_ref,
-                            expand_gamma=cfg.expand_gamma,
-                            state_rows=len(inv_rows))
-
-    # ---- pass 2: canon map (global) -------------------------------------
-    canon_dir = ckpt.part_dir("canon", 0)
-    if not ckpt.is_done("canon", 0, global_lineage):
-        linked = _disambiguate(_mentions(files, cfg))
-        canon_ds = canonicalize(entity_kb_edges(linked))
-
-        def write(tmp):
-            return _write_ds(canon_ds, tmp)
-        ckpt.write_partition("canon", 0, global_lineage, write)
-
-    canon_tbl = pq.read_table(canon_dir)
-    canon = dict(zip(canon_tbl["entity_id"].to_pylist(),
-                     canon_tbl["canon_id"].to_pylist()))
-
-    # ---- pass 3: triples per shard (the resume unit) --------------------
+    global_lineage = lineage_hash(files, cfg.content_hash())
     shards = [files[i:i + shard_files]
               for i in range(0, len(files), shard_files)]
-    for k, shard in enumerate(shards):
-        # the shard's triples also depend on the inventory and canon map
-        # built from the whole corpus, so its lineage covers both
-        lin = lineage_hash(shard, global_lineage)
-        if ckpt.is_done("triples", k, lin):
-            continue
-        # materialize: triples_from_mentions has two consumers (unary +
-        # pair branches); without pinning, BOTH branches would re-run the
-        # detector/disambiguator actor pools in one plan — double compute
-        # and, on small CPU counts, enough idle actors to starve the
-        # shuffle tasks (deadlock).  The linked-mention stream is
-        # sub-linear in the shard (no text, no windows), so pinning is
-        # cheap; the 100 TB variant writes it to the shard's checkpoint
-        # dir instead.
-        from ..util import compact_blocks
-        linked = compact_blocks(_disambiguate(_mentions(shard, cfg)))
-        tri = dedup_triples(triples_from_mentions(linked, canon),
-                            num_buckets=16)
+    for k in ckpt.completed_parts("triples"):
+        if k >= len(shards):
+            ckpt.retire_partition("triples", k)
 
-        def write(tmp, tri=tri):
-            # S3 layout: subj-hash-partitioned dirs inside the shard
-            # partition (subj_bucket=<b>/...), SURVEY.md §2.1
-            from ..stages.triples import write_triples_partitioned
-            write_triples_partitioned(tri, tmp)
+    def write_global(stage: str, build):
+        """``build() -> (result, table)`` runs inside the partition's
+        timed write; returns the result."""
+        got = []
+
+        def write(tmp):
+            result, table = build()
+            got.append(result)
+            pq.write_table(table, os.path.join(tmp, "part-0.parquet"))
+            return table.num_rows
+        ckpt.write_partition(stage, 0, global_lineage, write)
+        return got[0]
+
+    linked: dict[int, rd.Dataset] = {}
+    global_stages = ["senses", "canon"] + (["edges"] if cfg.expand_cooc
+                                           else [])
+    if all(ckpt.is_done(s, 0, global_lineage) for s in global_stages):
+        def read(stage: str) -> pa.Table:
+            return pq.read_table(ckpt.part_dir(stage, 0))
+        inv_rows = read("senses").to_pylist()
+        edge_maps = (edge_maps_from_rows(read("edges").to_pylist())
+                     if cfg.expand_cooc else None)
+        t = read("canon")
+        canon = dict(zip(t["entity_id"].to_pylist(),
+                         t["canon_id"].to_pylist()))
+        link = linker(inv_rows, edge_maps, cfg)
+    else:
+        mentions: list[rd.Dataset] = []
+
+        def fit():
+            mentions.extend(compact_blocks(read_mentions("", cfg, shard))
+                            for shard in shards)
+            model = fit_model(_union(mentions), cfg)
+            return model, pa.Table.from_pylist(model[0])
+        inv_rows, edge_maps = write_global("senses", fit)
+        if cfg.expand_cooc:
+            write_global("edges", lambda: (None, pa.Table.from_pylist([
+                {"term": t, "w": w, "v": v, "npmi": x}
+                for t, m in edge_maps.items() for (w, v), x in m.items()])))
+        link = linker(inv_rows, edge_maps, cfg)
+
+        def canon_pass():
+            linked.update(enumerate(link(m) for m in mentions))
+            mentions.clear()
+            c = canon_map(_union(list(linked.values())))
+            return c, pa.table({"entity_id": list(c),
+                                "canon_id": list(c.values())})
+        canon = write_global("canon", canon_pass)
+
+    for k, shard in enumerate(shards):
+        lineage = lineage_hash(shard, global_lineage)
+        if ckpt.is_done("triples", k, lineage):
+            continue
+
+        def write(tmp, k=k, shard=shard):
+            ln = (linked.pop(k) if k in linked
+                  else link(read_mentions("", cfg, shard)))
+            write_triples_partitioned(dedup_triples(
+                triples_from_mentions(ln, canon), num_buckets=16), tmp)
             return _count_parquet(tmp)
-        ckpt.write_partition("triples", k, lin, write)
+        ckpt.write_partition("triples", k, lineage, write)
     return ckpt
 
 

@@ -1,19 +1,15 @@
-"""The flagship KG-construction pipeline (SURVEY.md §3.3).
+"""The flagship KG-construction pipeline (SURVEY.md §3.3) as one plan.
+``run_flagship`` runs it over the whole input with no sink;
+``pipelines/checkpointed.py`` runs the same steps per input shard.
 
-read transcripts → tokenize (M1/M2) → mention detect (A1) + windows (M4)
-→ cooc counts + NPMI (G1/G2/M5/M6, SHUFFLE 2) → per-term Chinese Whispers
-(SHUFFLE 3) → sense inventory broadcast → disambiguate + entity-link
-(A2/A3 actor pool) → distributed union-find canonicalisation (D3,
-SHUFFLE 4×rounds) → triple assembly + dedup (M8/D1, SHUFFLE 5) →
-partitioned Parquet sink.
-
-Materialisation policy: only *small, reused* intermediates are pinned —
-the mention stream (sub-linear in the input: ~0.6 rows/turn and only
-window tokens, no text), aggregated counts, the sense inventory and the
-canon map.  The transcript stream itself is never materialised; with
-checkpointing on (pipelines/checkpointed.py) the mention stream goes to a
-per-shard Parquet partition instead of the object store, which is the
-100 TB path.
+1. ``read_mentions``: read → tokenize (M1/M2) → detect mentions + windows
+   (A1/M4), one fused operator, so each input file is read once.
+2. ``fit_model`` over the pinned mentions (text-free, ~0.6 rows/turn):
+   distributed window counts (SHUFFLE 2), then NPMI + Chinese Whispers
+   (M5/M6) on the driver → sense inventory broadcast.
+3. ``linker``: disambiguate + entity-link (A2/A3) the same pinned
+   mentions; the linked stream is pinned, as both later steps read it.
+4. ``canon_map`` (union-find, D3), then triple assembly + dedup (M8/D1).
 """
 
 from __future__ import annotations
@@ -28,19 +24,16 @@ import ray.data as rd
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..sources.transcripts import read_transcripts
 from ..stages.cooc import cooc_edges
-from ..stages.disambig import SenseDisambiguator, disambiguate, inventory_from_rows
+from ..stages.disambig import disambiguate, inventory_from_rows
 from ..stages.induce import induce_senses
-from ..stages.mentions import MentionDetector
 from ..stages.tokenize import tokenize_batch
 from ..stages.triples import dedup_triples, triples_from_mentions
 from ..stages.unionfind import canonicalize
-
-from ..runtime import pool_limits
+from ..util import compact_blocks
 
 
 @dataclass
 class FlagshipArtifacts:
-    mentions_raw: rd.Dataset
     sense_inventory_rows: list[dict]
     linked_mentions: rd.Dataset
     canon_map: dict[str, str]
@@ -48,22 +41,25 @@ class FlagshipArtifacts:
 
 
 def detect_mentions(turns: rd.Dataset, cfg: PipelineConfig) -> rd.Dataset:
-    # stateless tasks (elastic, uses every CPU) — see MentionDetector doc.
     # batch_size stays UNSET: an explicit batch_size on any map blocks
-    # Ray Data's read fusion, splitting the chain into ReadParquet +
-    # MapBatches(...) and round-tripping the whole decoded corpus through
-    # the object store once per pass (measured: the read op alone ships
-    # ~6 GB/pass at sf0.6).  Unset, the plan fuses to
-    # ReadParquet->tokenize->detect(->score) and the decoded text never
-    # leaves the worker.  Results are batch-size-invariant (stateless
-    # per-row kernels); block granularity is set at the read
-    # (sources/transcripts.py) which is where memory per task is bounded.
+    # Ray Data's read fusion and round-trips the decoded corpus through
+    # the object store once per pass (~6 GB/pass at sf0.6, measured).
+    # Unset, the plan fuses to ReadParquet->tokenize->detect(->score);
+    # memory per task is bounded at the read (sources/transcripts.py).
     from ..stages.mentions import detect_batch
     return turns.map_batches(
         detect_batch,
         fn_kwargs=dict(window_size=cfg.window_size,
                        gazetteer=cfg.gazetteer),
         batch_format="pyarrow")
+
+
+def read_mentions(sf_dir_or_scale: str, cfg: PipelineConfig,
+                  files: list[str] | None = None) -> rd.Dataset:
+    """Step 1: read → tokenize → detect, one fused operator per file."""
+    turns = read_transcripts(sf_dir_or_scale, files=files).map_batches(
+        tokenize_batch, batch_format="pyarrow")
+    return detect_mentions(turns, cfg)
 
 
 def induce_inventory(mentions: rd.Dataset, cfg: PipelineConfig) -> list[dict]:
@@ -78,10 +74,6 @@ def induce_inventory(mentions: rd.Dataset, cfg: PipelineConfig) -> list[dict]:
 # on the driver and the distributed NPMI+induce path takes over.
 DRIVER_FIT_THRESHOLD = 2_000_000
 
-# Mention-stream plan threshold: below this input size the object-store
-# pin (fastest single-node) is chosen; above it, recompute (scale-out).
-_PIN_MAX_INPUT_BYTES = 4 << 30
-
 
 def fit_inventory(mentions: rd.Dataset, cfg: PipelineConfig) -> list[dict]:
     return fit_model(mentions, cfg)[0]
@@ -90,69 +82,51 @@ def fit_inventory(mentions: rd.Dataset, cfg: PipelineConfig) -> list[dict]:
 def fit_model(mentions: rd.Dataset, cfg: PipelineConfig):
     """mentions -> (sense inventory rows, {term: {(w,v): npmi}}), size-aware.
 
-    The corpus-scale work — window extraction and hyperedge counting —
-    is always distributed (partial-per-batch + one shuffle in
-    aggregate_counts).  The AGGREGATED counts are vocab-bounded
-    (|gazetteer|·|window vocab|²), i.e. a model, not data; below
-    DRIVER_FIT_THRESHOLD rows the NPMI weighting + Chinese-Whispers fit
-    runs on the driver through the exact same published formulas the
-    sequential oracle uses (wsid_ray.oracle.npmi_edges/induce — shared
-    semantics, one source of truth), avoiding two extra distributed
-    executions whose fixed cost dwarfs their work.  Above the threshold
-    the distributed induce path runs instead.  Both paths are verified
-    equivalent by tests/test_flagship.py::test_fit_paths_agree.
+    Window counting is always distributed (partial per batch + one
+    shuffle in aggregate_counts).  The aggregated counts are vocab-bounded
+    (|gazetteer|·|window vocab|²), a model rather than data: below
+    DRIVER_FIT_THRESHOLD rows NPMI + Chinese Whispers run on the driver
+    through the sequential oracle's own formulas (wsid_ray.oracle
+    npmi_edges/induce), above it the distributed induce path runs
+    (tests/test_flagship.py::test_fit_paths_agree).
 
-    Gate ordering (VERDICT r04 item 1): the driver-vs-distributed decision
-    comes from a DISTRIBUTED ``counts.count()`` on the materialized
-    (object-store-resident, spillable) counts table — the driver collect
-    happens only on the already-proven-small branch, never before the
-    check.  The expand_cooc edge-map collect gets the same guard: edges
-    are counted distributed first; above the threshold the broadcast
-    expansion state itself would not fit one actor, so that regime raises
-    with the documented scale path (term-sharded inventories,
-    stages/disambig.py docstring) instead of silently OOMing the driver.
+    Gate ordering: the path decision comes from a distributed
+    ``counts.count()``; the driver collects counts only on the proven-small
+    branch.  The expand_cooc edge-map collect has the same guard and
+    raises above the threshold, where the broadcast expansion state would
+    not fit one scorer (stages/disambig.py scale note).
     """
     from collections import Counter
 
     from ..oracle import induce as oracle_induce
     from ..oracle import npmi_edges as oracle_npmi
-    from ..stages.cooc import (aggregate_counts, cooc_edges_from_counts)
-    from ..stages.induce import induce_senses
-
+    from ..stages.cooc import aggregate_counts, cooc_edges_from_counts
     from ..util import collect_rows
+
     if cfg.max_windows_per_term:
         from ..stages.sampling import cap_windows_per_term
         mentions = cap_windows_per_term(mentions, cfg.max_windows_per_term)
     counts = aggregate_counts(mentions).materialize()
     if counts.count() > DRIVER_FIT_THRESHOLD:
-        # Distributed fit: reuse the pinned counts for BOTH the NPMI
-        # weighting (feeding induce) and the expansion edge maps — zero
-        # extra corpus passes (previously each consumer re-counted).
+        # distributed fit: the pinned counts feed both the NPMI weighting
+        # (for induce) and the expansion edge maps
         edges = cooc_edges_from_counts(counts, cfg.cooc_min_count,
                                        cfg.npmi_min)
-        if cfg.expand_cooc:
-            edges = edges.materialize()
-        inv_rows = collect_rows(induce_senses(edges, algo=cfg.induce_algo))
         edge_maps = None
         if cfg.expand_cooc:
+            edges = edges.materialize()
             if edges.count() > DRIVER_FIT_THRESHOLD:
                 raise ValueError(
                     "expand_cooc: pruned NPMI edge table exceeds "
-                    f"DRIVER_FIT_THRESHOLD ({DRIVER_FIT_THRESHOLD}); the "
-                    "broadcast expansion state would not fit a single "
-                    "scorer — shard inventories across the pool by "
-                    "hash(term) (stages/disambig.py scale note) or raise "
-                    "npmi_min/cooc_min_count")
-            edge_maps = {}
-            for r in collect_rows(edges):
-                edge_maps.setdefault(r["term"], {})[(r["w"], r["v"])] = \
-                    r["npmi"]
-        return inv_rows, edge_maps
-    rows = collect_rows(counts)
+                    f"DRIVER_FIT_THRESHOLD ({DRIVER_FIT_THRESHOLD}); shard "
+                    "inventories by hash(term) or raise npmi_min")
+            edge_maps = edge_maps_from_rows(collect_rows(edges))
+        return (collect_rows(induce_senses(edges, algo=cfg.induce_algo)),
+                edge_maps)
     totals: Counter = Counter()
     unis: Counter = Counter()
     pairs: Counter = Counter()
-    for r in rows:
+    for r in collect_rows(counts):
         if r["v"] != "":
             pairs[(r["term"], r["w"], r["v"])] = r["n"]
         elif r["w"] != "":
@@ -173,6 +147,29 @@ def fit_model(mentions: rd.Dataset, cfg: PipelineConfig):
     return out, edge_maps
 
 
+def edge_maps_from_rows(rows: list[dict]) -> dict:
+    """(term, w, v, npmi) rows -> {term: {(w, v): npmi}}."""
+    edge_maps: dict = {}
+    for r in rows:
+        edge_maps.setdefault(r["term"], {})[(r["w"], r["v"])] = r["npmi"]
+    return edge_maps
+
+
+def linker(inventory_rows: list[dict], edge_maps: dict | None,
+           cfg: PipelineConfig):
+    """Broadcast the fitted model once; returns ``link(mentions)``, the
+    linked mentions pinned with ``compact_blocks`` (not bare materialize,
+    so no empty block reaches the downstream maps)."""
+    inv_ref = ray.put(inventory_from_rows(inventory_rows))
+    edge_ref = ray.put(edge_maps) if cfg.expand_cooc else None
+
+    def link(mentions: rd.Dataset) -> rd.Dataset:
+        return compact_blocks(disambiguate(
+            mentions, inv_ref, edge_maps_ref=edge_ref,
+            expand_gamma=cfg.expand_gamma, state_rows=len(inventory_rows)))
+    return link
+
+
 def entity_kb_edges(linked: rd.Dataset) -> rd.Dataset:
     def distinct_pairs(t: pa.Table) -> pa.Table:
         keep = pc.and_(pc.greater_equal(t["sense_id"], 0),
@@ -186,109 +183,24 @@ def entity_kb_edges(linked: rd.Dataset) -> rd.Dataset:
     return distinct(pairs, ["entity_id", "kb_id"], num_buckets=16)
 
 
+def canon_map(linked: rd.Dataset) -> dict[str, str]:
+    """linked mentions -> {entity_id: canon_id}."""
+    from ..util import collect_rows
+    rows = collect_rows(canonicalize(entity_kb_edges(linked)))
+    return {r["entity_id"]: r["canon_id"] for r in rows}
+
+
 def run_flagship(sf_dir_or_scale: str,
                  cfg: PipelineConfig = DEFAULT_CONFIG,
                  files: list[str] | None = None) -> FlagshipArtifacts:
-    # Mention-stream reuse plan (two consumers: counting, disambiguation).
-    # Measured on this container (sf0.1, 4.8M turns):
-    #   object_store (materialize): fastest wall absolute (23.7 s @32)
-    #     but the ~1.5 GB pin is single-node-bandwidth-bound;
-    #   recompute: pays tokenize+detect twice — pure CPU, scales nearly
-    #     linearly (4→16 efficiency 0.95), the plan to pick when scaling
-    #     OUT rather than UP;
-    #   parquet: compressed spill, in between.
-    # Same results in every mode; choice is a cost-model decision
-    # (BASELINE.md records all curves).
-    import os
-    pinned: list[rd.Dataset] = []
-    cache_mode = os.environ.get("WSID_MENTIONS_CACHE", "auto")
-    if cache_mode == "auto":
-        # Scale-aware default (VERDICT r01 item 10): pinning the mention
-        # stream costs ~0.4x the input in object-store memory — fastest
-        # on one node, but bandwidth-bound as input grows.  Above the
-        # threshold, recompute (pure CPU, scales out ~linearly; SCALE.md)
-        # is the plan; the threshold is input parquet bytes.
-        try:
-            from ..fixtures import transcript_files as _tf
-            fs = files if files else _tf(sf_dir_or_scale)
-            total = sum(os.path.getsize(f) for f in fs)
-        except (OSError, ValueError):
-            # unsizeable input: fall back to the SCALE-SAFE plan — pinning
-            # an unknown (possibly huge) input is the unsafe direction
-            import logging
-            logging.getLogger(__name__).warning(
-                "input size unknown at planning time; choosing the "
-                "recompute mention-cache plan")
-            total = None
-        cache_mode = ("object_store"
-                      if total is not None and total < _PIN_MAX_INPUT_BYTES
-                      else "recompute")
-
-    def mentions_ds() -> rd.Dataset:
-        if pinned:
-            return pinned[0]
-        transcripts = read_transcripts(sf_dir_or_scale, files=files)
-        turns = transcripts.map_batches(tokenize_batch,
-                                        batch_format="pyarrow")
-        m = detect_mentions(turns, cfg)
-        if cache_mode == "object_store":
-            from ..util import compact_blocks
-            pinned.append(compact_blocks(m))
-            return pinned[0]
-        if cache_mode == "parquet":
-            import tempfile
-            d = tempfile.mkdtemp(prefix="wsid_mentions_")
-            m.write_parquet(d)
-            import ray.data as _rd
-            pinned.append(_rd.read_parquet(d))
-            return pinned[0]
-        return m  # recompute per consumer (default)
-
-    def mentions_for_fit() -> rd.Dataset:
-        """Model-fit corpus pass: only (term, win_tokens) are consumed,
-        so in recompute mode read just the text column — about half the
-        parquet decode + no provenance carry through detect.  (The cap
-        sampler needs provenance columns, so fall back when it's on.)"""
-        if cache_mode != "recompute" or cfg.max_windows_per_term:
-            return mentions_ds()
-        from ..stages.tokenize import tokenize_text_batch
-        light = read_transcripts(sf_dir_or_scale, files=files,
-                                 columns=["text"])
-        turns = light.map_batches(tokenize_text_batch,
-                                  batch_format="pyarrow")
-        return detect_mentions(turns, cfg)
-
-    inventory_rows, edge_maps = fit_model(mentions_for_fit(), cfg)
-    inv_ref = ray.put(inventory_from_rows(inventory_rows))
-    edge_ref = (ray.put(edge_maps)
-                if (cfg.expand_cooc and edge_maps is not None) else None)
-
-    # linked mentions: three consumers (canon edges, unary, pairs) and
-    # sub-linear payload (no text, no windows) → pin once.  compact_blocks
-    # (not bare materialize) so no empty block reaches the downstream maps
-    # (schema-flap guard, util.compact_blocks).
-    from ..util import compact_blocks
-    linked = compact_blocks(disambiguate(mentions_ds(), inv_ref,
-                                         edge_maps_ref=edge_ref,
-                                         expand_gamma=cfg.expand_gamma,
-                                         state_rows=len(inventory_rows)))
-    mentions = mentions_ds()
-
-    from ..util import collect_rows
-    canon_rows = collect_rows(canonicalize(entity_kb_edges(linked)))
-    canon = {r["entity_id"]: r["canon_id"] for r in canon_rows}
-
-    raw = triples_from_mentions(linked, canon)
-    triples = dedup_triples(raw)
+    """The plan over the whole input as one shard, with no sink."""
+    mentions = compact_blocks(read_mentions(sf_dir_or_scale, cfg, files))
+    inventory_rows, edge_maps = fit_model(mentions, cfg)
+    linked = linker(inventory_rows, edge_maps, cfg)(mentions)
+    canon = canon_map(linked)
     return FlagshipArtifacts(
-        mentions_raw=mentions,
         sense_inventory_rows=inventory_rows,
         linked_mentions=linked,
         canon_map=canon,
-        triples=triples,
+        triples=dedup_triples(triples_from_mentions(linked, canon)),
     )
-
-
-def flagship_triples(sf_dir_or_scale: str,
-                     cfg: PipelineConfig = DEFAULT_CONFIG) -> rd.Dataset:
-    return run_flagship(sf_dir_or_scale, cfg).triples

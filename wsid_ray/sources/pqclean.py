@@ -54,8 +54,7 @@ def read_parquet_clean(path, *, columns: list[str] | None = None,
     """``rd.read_parquet`` that pins a metadata-free schema so block
     schemas stay hashable. Drop-in for plain file/dir reads; NOT for
     hive-partitioned roots where path-derived columns must be inferred."""
-    if os.environ.get("WSID_PQCLEAN", "1") != "0":   # A/B escape hatch
-        schema = clean_schema(path, columns)
-        if schema is not None:
-            kwargs["schema"] = schema
+    schema = clean_schema(path, columns)
+    if schema is not None:
+        kwargs["schema"] = schema
     return rd.read_parquet(path, columns=columns, **kwargs)

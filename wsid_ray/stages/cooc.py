@@ -31,8 +31,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..runtime import pool_limits
-
 
 def count_windows_batch(batch: pa.Table) -> pa.Table:
     """Partial combiner: mentions/windows batch -> (term, w, v, n) rows.

@@ -189,13 +189,9 @@ def bucketed_group_apply(
     ``out_schema``: declared Arrow schema of bucket_fn's output — empty
     buckets emit exactly this schema (no dtype guessing) and non-empty
     outputs are cast to it, keeping the block stream schema-stable."""
-    if impl is None:
-        import os
-        # "tasks" is the measured-faster default (module docstring); it
-        # auto-falls back to the fully-streaming "sort" path beyond
-        # _TASKS_MAX_REFS.  Set WSID_BUCKET_IMPL=sort to force streaming.
-        impl = os.environ.get("WSID_BUCKET_IMPL", "tasks")
-    if impl == "tasks":
+    if impl in (None, "tasks"):
+        # the measured-faster default (module docstring); it falls back
+        # to the fully-streaming "sort" path beyond _TASKS_MAX_REFS
         out = _tasks_apply(ds, key_cols, bucket_fn, num_buckets, out_schema)
         if out is not None:
             return out

@@ -40,13 +40,6 @@ def tokenize_column(text: pa.ChunkedArray | pa.Array) -> pa.ListArray:
     return filter_list_array(lists, keep)
 
 
-def tokenize_text_batch(batch: pa.Table) -> pa.Table:
-    """Light variant for column-pruned passes that only need the token
-    stream (e.g. the model-fit corpus pass): appends ``tokens`` only, no
-    turn_uid, so the read can prune every column except ``text``."""
-    return batch.append_column("tokens", tokenize_column(batch["text"]))
-
-
 def tokenize_batch(batch: pa.Table) -> pa.Table:
     """Append ``tokens:list<string>`` and ``turn_uid:int64``; text untouched."""
     tokens = tokenize_column(batch["text"])

@@ -5,7 +5,7 @@ recomputing completed partitions").
 
 Layout under ``out_dir``:
 
-    manifest.jsonl          # one JSON row per completed (stage, part)
+    manifest.jsonl          # one JSON row per written or retired (stage, part)
     <stage>/part-<k>/       # that partition's parquet output (atomic)
 
 Atomicity: partition output is written to ``<stage>/.tmp-<k>-<pid>`` and
@@ -15,7 +15,9 @@ which a resume simply overwrites (idempotent stages).  A kill during the
 append itself leaves a torn final row; it is dropped on load and that
 partition recomputes.  A manifest row is only trusted when its
 ``lineage`` (input files + config hash) matches the current run, so
-changing inputs or config invalidates stale partitions.
+changing inputs or config invalidates stale partitions.  A retired
+partition (its input is gone) gets a ``done: false`` row and loses its
+directory, so it is never served again.
 """
 
 from __future__ import annotations
@@ -96,15 +98,27 @@ class CheckpointManager:
             shutil.rmtree(final)
         os.replace(tmp, final)
         wall = time.time() - t0
-        rec = {
+        return self._append({
             "stage": stage, "part": part, "rows": int(n or 0),
             "wall_s": round(wall, 3),
             "rows_per_s": round((n or 0) / wall, 1) if wall > 0 else 0.0,
             "lineage": lineage, "done": True, "ts": time.time(),
-        }
+        })
+
+    def retire_partition(self, stage: str, part: int) -> None:
+        """Stop serving a partition whose input is gone: a ``done: false``
+        row first, then its directory is removed."""
+        self._append({
+            "stage": stage, "part": part, "rows": 0, "wall_s": 0.0,
+            "rows_per_s": 0.0, "lineage": None, "done": False,
+            "ts": time.time(),
+        })
+        shutil.rmtree(self.part_dir(stage, part), ignore_errors=True)
+
+    def _append(self, rec: dict) -> dict:
         with open(self.manifest_path, "a") as f:
             f.write(json.dumps(rec) + "\n")
-        self._records[(stage, part)] = rec
+        self._records[(rec["stage"], rec["part"])] = rec
         return rec
 
     def stats(self) -> list[dict]:
