@@ -33,8 +33,9 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..fixtures import transcript_files
-from ..stages.triples import dedup_triples, triples_from_mentions
-from ..stages.triples import write_triples_partitioned
+from ..stages.triples import (dedup_triples, read_triples_partitioned,
+                               triples_from_mentions,
+                               write_triples_partitioned)
 from ..state.checkpoint import CheckpointManager, lineage_hash
 from ..util import compact_blocks
 from .flagship import (canon_map, edge_maps_from_rows, fit_model, linker,
@@ -133,11 +134,8 @@ def triples_dataset(out_dir: str) -> rd.Dataset:
     """All completed triple partitions, with the global set-semantics
     dedup applied on read (see module docstring)."""
     ckpt = CheckpointManager(out_dir)
-    files = []
-    for p in ckpt.completed_parts("triples"):
-        d = ckpt.part_dir("triples", p)
-        files.extend(sorted(
-            os.path.join(root, f) for root, _, fs in os.walk(d)
-            for f in fs if f.endswith(".parquet")))
-    ds = rd.read_parquet(files)
-    return dedup_triples(ds)
+    return dedup_triples(read_triples_partitioned([
+        sorted(os.path.join(root, f)
+               for root, _, fs in os.walk(ckpt.part_dir("triples", p))
+               for f in fs if f.endswith(".parquet"))
+        for p in ckpt.completed_parts("triples")]))

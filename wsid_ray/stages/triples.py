@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from ..config import PRED_ADDRESSES, PRED_CO_MENTION, PRED_USES_TOOL
@@ -148,6 +150,30 @@ def write_triples_partitioned(ds: rd.Dataset, out_dir: str,
     the directory name only; file contents keep the plain triple schema."""
     with_subj_bucket(ds, num_buckets).write_parquet(
         out_dir, partition_cols=["subj_bucket"])
+
+
+@ray.remote
+def _read_sink_files(paths: list[str]) -> pa.Table:
+    from .. import schemas
+    return pa.concat_tables([
+        schemas.conform(pq.read_table(p, partitioning=None), schemas.TRIPLES)
+        for p in paths])
+
+
+def read_triples_partitioned(parts: list[list[str]]) -> rd.Dataset:
+    """Read sinks written by ``write_triples_partitioned``: one read task
+    and one block per list of files (a checkpoint partition).
+
+    The sink holds one file per (written block, subject bucket), ~110
+    per partition of a 12k-turn batch, and ``rd.read_parquet`` plans a
+    read of that many files with metadata-prefetch and sampling tasks: on
+    4 CPUs, reading and deduplicating three such partitions took 2.8-4.5 s
+    that way, varying from one call to the next, and a steady 0.6-0.7 s
+    with these tasks."""
+    from .. import schemas
+    refs = [_read_sink_files.remote(p) for p in parts if p]
+    return (rd.from_arrow_refs(refs) if refs
+            else rd.from_arrow(schemas.TRIPLES.empty_table()))
 
 
 def read_triples_for_subject(root: str, subj: str,
