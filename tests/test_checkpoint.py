@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 
+import pyarrow as pa
 import pytest
 
 from wsid_ray.oracle import precision_recall, run_oracle
@@ -88,6 +89,37 @@ def test_grown_corpus_matches_fresh_run(full_run, tmp_path, monkeypatch):
     grown = triple_set(out)
     assert grown == fresh
     assert grown == run_oracle(files)["triples"]
+
+
+def test_rewritten_input_recomputes(tmp_path, monkeypatch):
+    """Rewrite one input file in place (same path, half its
+    conversations): the partitions built from the old contents must not
+    be served."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from wsid_ray.pipelines import checkpointed
+    src = tmp_path / "src"
+    src.mkdir()
+    files = []
+    for f in transcript_files("sf0.001"):
+        files.append(str(src / os.path.basename(f)))
+        shutil.copy(f, files[-1])
+    monkeypatch.setattr(checkpointed, "transcript_files",
+                        lambda _scale: files)
+    out = str(tmp_path / "rewrite")
+    run_checkpointed("sf0.001", out, shard_files=1)
+    before = triple_set(out)
+
+    t = pq.read_table(files[0])
+    convs = sorted(set(t["conv_id"].to_pylist()))
+    pq.write_table(t.filter(pc.is_in(
+        t["conv_id"], value_set=pa.array(convs[:len(convs) // 2]))),
+        files[0])
+    run_checkpointed("sf0.001", out, shard_files=1)
+    want = run_oracle(files)["triples"]
+    assert want != before
+    assert triple_set(out) == want
 
 
 def test_shrunk_corpus_matches_fresh_run(full_run, tmp_path, monkeypatch):
@@ -190,11 +222,14 @@ def test_torn_manifest_row_resumes(full_run, tmp_path):
 
 def test_config_change_invalidates(full_run, tmp_path):
     out, ckpt, _ = full_run
-    from wsid_ray.config import PipelineConfig
+    from wsid_ray.config import DEFAULT_CONFIG, PipelineConfig
+    from wsid_ray.pipelines.checkpointed import _stamped
     cfg2 = PipelineConfig(window_size=3)
     lin_rows = [r for r in ckpt.stats() if r["stage"] == "senses"]
     from wsid_ray.state.checkpoint import lineage_hash
-    files = transcript_files("sf0.001")
+    files = _stamped(transcript_files("sf0.001"))
+    assert lineage_hash(files, DEFAULT_CONFIG.content_hash()) == \
+        lin_rows[0]["lineage"]
     assert lineage_hash(files, cfg2.content_hash()) != lin_rows[0]["lineage"]
 
 
@@ -221,6 +256,12 @@ def test_subj_partitioned_sink_layout_and_pruned_read(full_run):
     want = {(r["subj"], r["pred"], r["obj"])
             for r in all_p0.take_all() if r["subj"] == subj}
     assert got == want and got  # non-empty, bucket-pruned read is exact
+    # one file per subject bucket at most: the dedup's shuffle emits one
+    # block for a partition this small
+    for part in os.listdir(os.path.join(out, "triples")):
+        n = sum(f.endswith(".parquet") for _, _, fs in
+                os.walk(os.path.join(out, "triples", part)) for f in fs)
+        assert 0 < n <= SUBJ_BUCKETS, (part, n)
 
 
 def test_read_back_matches_read_parquet(full_run, tmp_path):

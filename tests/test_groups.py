@@ -74,6 +74,25 @@ def test_all_empty_input_typed_by_build_probe():
     assert out.count() == 0
 
 
+def test_bucket_count_derived_from_input(monkeypatch):
+    """With no num_buckets the shuffle sizes itself from its input's row
+    count: 5,000 rows fit one bucket (one reduce, one output block); at
+    500 rows per bucket the same input spreads over several, with the
+    same sums."""
+    from wsid_ray.stages import groups
+
+    def comb(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("k", sort=False, as_index=False)["v"].sum()
+
+    ds, t = make_ds()
+    assert len(bucketed_group_apply(ds, ["k"], comb).to_arrow_refs()) == 1
+    monkeypatch.setattr(groups, "ROWS_PER_BUCKET", 500)
+    out = bucketed_group_apply(ds, ["k"], comb)
+    assert len(out.to_arrow_refs()) > 1
+    got = out.to_pandas().sort_values("k").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, expected_sum(t), check_dtype=False)
+
+
 def test_distinct():
     ds = rd.from_arrow(pa.table({
         "a": ["x", "x", "y", "y", "x"],

@@ -5,7 +5,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from wsid_catalog.stage import REGISTRY, pipeline
-from wsid_ray.stages.sampling import cap_windows_per_term, term_counts
+from wsid_catalog.stages.sampling import cap_windows_per_term, term_counts
 
 
 def mentions(n_hot=200, n_cold=10):

@@ -80,7 +80,7 @@ def _register_builtins() -> None:
     ))
 
     def _cap(ds, cfg):
-        from wsid_ray.stages.sampling import cap_windows_per_term
+        from wsid_catalog.stages.sampling import cap_windows_per_term
         cap = getattr(cfg, "max_windows_per_term", None)
         return cap_windows_per_term(ds, cap) if cap else ds
 

@@ -18,8 +18,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..util import collect_rows, stable_hash64
-from .groups import bucketed_sum
+from wsid_ray.stages.groups import bucketed_sum
+from wsid_ray.util import collect_rows, stable_hash64
 
 _SCALE = 1 << 30
 

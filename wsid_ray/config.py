@@ -143,11 +143,6 @@ class PipelineConfig:
     induce_algo: str = "cw"
     stopwords: tuple[str, ...] = STOPWORDS
     gazetteer: tuple[str, ...] = GAZETTEER
-    # O3 skew control: cap windows per term before induction via
-    # deterministic hash sampling (stages/sampling.py).  None = no cap —
-    # the oracle P/R gate assumes None (the sequential oracle counts every
-    # window); set it for web-scale corpora with hot surface forms.
-    max_windows_per_term: int | None = None
     # A2 refinement: when True, the disambiguation actors also hold the
     # pruned per-term co-occurrence matrices in-state and add a
     # second-order score for window tokens absent from a sense vector

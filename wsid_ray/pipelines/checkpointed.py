@@ -14,7 +14,8 @@ missing or stale, all are rebuilt from that one read.  Once they are
 done, a resumed run reads only the shards whose triple partition is
 missing (anti-join J5), each as one fused read→tokenize→detect→
 disambiguate chain.  A triple partition's lineage covers its shard's
-files and the global lineage; partitions past the last shard of a shrunk
+files (path, size and mtime, so an input rewritten in place recomputes)
+and the global lineage; partitions past the last shard of a shrunk
 corpus are retired.  Conversations must not span input files (the
 fixture generator writes whole conversations per file).
 
@@ -48,6 +49,16 @@ def _count_parquet(d: str) -> int:
                for f in fs if f.endswith(".parquet"))
 
 
+def _stamped(files: list[str]) -> list[str]:
+    """``path:size:mtime_ns`` per file, so a lineage built from them
+    changes when an input is rewritten in place."""
+    stamps = []
+    for f in files:
+        st = os.stat(f)
+        stamps.append(f"{f}:{st.st_size}:{st.st_mtime_ns}")
+    return stamps
+
+
 def _union(parts: list[rd.Dataset]) -> rd.Dataset:
     return rd.from_arrow_refs([r for p in parts for r in p.to_arrow_refs()])
 
@@ -59,7 +70,7 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
     checkpoints.  ``shard_files`` = input files per triple partition."""
     files = transcript_files(sf_dir_or_scale)
     ckpt = CheckpointManager(out_dir)
-    global_lineage = lineage_hash(files, cfg.content_hash())
+    global_lineage = lineage_hash(_stamped(files), cfg.content_hash())
     shards = [files[i:i + shard_files]
               for i in range(0, len(files), shard_files)]
     for k in ckpt.completed_parts("triples"):
@@ -116,7 +127,7 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
         canon = write_global("canon", canon_pass)
 
     for k, shard in enumerate(shards):
-        lineage = lineage_hash(shard, global_lineage)
+        lineage = lineage_hash(_stamped(shard), global_lineage)
         if ckpt.is_done("triples", k, lineage):
             continue
 
@@ -124,7 +135,7 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
             ln = (linked.pop(k) if k in linked
                   else link(read_mentions("", cfg, shard)))
             write_triples_partitioned(dedup_triples(
-                triples_from_mentions(ln, canon), num_buckets=16), tmp)
+                triples_from_mentions(ln, canon)), tmp)
             return _count_parquet(tmp)
         ckpt.write_partition("triples", k, lineage, write)
     return ckpt

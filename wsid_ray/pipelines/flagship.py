@@ -103,9 +103,6 @@ def fit_model(mentions: rd.Dataset, cfg: PipelineConfig):
     from ..stages.cooc import aggregate_counts, cooc_edges_from_counts
     from ..util import collect_rows
 
-    if cfg.max_windows_per_term:
-        from ..stages.sampling import cap_windows_per_term
-        mentions = cap_windows_per_term(mentions, cfg.max_windows_per_term)
     counts = aggregate_counts(mentions).materialize()
     if counts.count() > DRIVER_FIT_THRESHOLD:
         # distributed fit: the pinned counts feed both the NPMI weighting
@@ -180,7 +177,7 @@ def entity_kb_edges(linked: rd.Dataset) -> rd.Dataset:
     pairs = linked.map_batches(distinct_pairs, batch_format="pyarrow")
     # global distinct (partial per batch above, final below)
     from ..stages.groups import distinct
-    return distinct(pairs, ["entity_id", "kb_id"], num_buckets=16)
+    return distinct(pairs, ["entity_id", "kb_id"])
 
 
 def canon_map(linked: rd.Dataset) -> dict[str, str]:

@@ -40,8 +40,7 @@ def _co_mention_edges(triples: rd.Dataset) -> rd.Dataset:
     return triples.map_batches(fn, batch_format="pyarrow")
 
 
-def kg_two_hop_paths(triples: rd.Dataset,
-                     num_buckets: int = 8) -> rd.Dataset:
+def kg_two_hop_paths(triples: rd.Dataset) -> rd.Dataset:
     """Two-hop path query a→mid→c over the deduped co-mention edges
     (a ≠ c): per (subj, obj) endpoint pair the number of distinct
     intermediate entities and the lexicographically first one — the
@@ -93,7 +92,7 @@ def kg_two_hop_paths(triples: rd.Dataset,
         return pd.concat(outs, ignore_index=True)
 
     paths = bucketed_group_apply(
-        tagged, ["mid"], expand, num_buckets=num_buckets,
+        tagged, ["mid"], expand,
         out_schema=pa.schema([("a", pa.string()), ("c", pa.string()),
                               ("mid", pa.string())]))
 
@@ -107,12 +106,10 @@ def kg_two_hop_paths(triples: rd.Dataset,
                             ("n_paths", pa.int64()),
                             ("first_mid", pa.string())])
     return bucketed_group_apply(paths, ["a", "c"], fold,
-                                num_buckets=num_buckets,
                                 out_schema=out_schema)
 
 
-def kg_entity_degree(triples: rd.Dataset,
-                     num_buckets: int = 8) -> rd.Dataset:
+def kg_entity_degree(triples: rd.Dataset) -> rd.Dataset:
     """Per-entity degree profile over the deduped store: outgoing
     triple count, distinct outgoing predicates, incoming co-mention
     count, and distinct co-mention neighbours (union of both
@@ -187,11 +184,10 @@ def kg_entity_degree(triples: rd.Dataset,
                             ("n_in_co", pa.int64()),
                             ("n_neighbors", pa.int64())])
     return bucketed_group_apply(tagged, ["ent"], fold,
-                                num_buckets=num_buckets,
                                 out_schema=out_schema)
 
 
-def kg_pred_cooc(triples: rd.Dataset, num_buckets: int = 8) -> rd.Dataset:
+def kg_pred_cooc(triples: rd.Dataset) -> rd.Dataset:
     """Predicate co-occurrence: for every unordered predicate pair
     (pa < pb), how many distinct subjects carry both — the schema-
     discovery signal for predicate clustering / ontology inference.
@@ -221,16 +217,14 @@ def kg_pred_cooc(triples: rd.Dataset, num_buckets: int = 8) -> rd.Dataset:
         return out
 
     partials = bucketed_group_apply(
-        sp, ["subj"], pairs, num_buckets=num_buckets,
+        sp, ["subj"], pairs,
         out_schema=pa.schema([("pred_a", pa.string()),
                               ("pred_b", pa.string()),
                               ("n_subjects", pa.int64())]))
-    return bucketed_sum(partials, ["pred_a", "pred_b"], ["n_subjects"],
-                        num_buckets=4)
+    return bucketed_sum(partials, ["pred_a", "pred_b"], ["n_subjects"])
 
 
-def kg_inverse_preds(triples: rd.Dataset,
-                     num_buckets: int = 8) -> pa.Table:
+def kg_inverse_preds(triples: rd.Dataset) -> pa.Table:
     """Inverse/symmetric predicate detection over the deduped store
     (the RDFS/OWL `owl:inverseOf` mining signal): for every ORDERED
     predicate pair (p, q), the number of triple pairs where (s, p, o)
@@ -280,11 +274,11 @@ def kg_inverse_preds(triples: rd.Dataset,
 
     pair_rows = collect_rows(bucketed_sum(
         bucketed_group_apply(
-            tagged, ["k1", "k2"], expand, num_buckets=num_buckets,
+            tagged, ["k1", "k2"], expand,
             out_schema=pa.schema([("pred_a", pa.string()),
                                   ("pred_b", pa.string()),
                                   ("n_pairs", pa.int64())])),
-        ["pred_a", "pred_b"], ["n_pairs"], num_buckets=2))
+        ["pred_a", "pred_b"], ["n_pairs"]))
     base_rows = collect_rows(partial_count(
         triples.select_columns(["pred"]), ["pred"], out_name="n"))
 

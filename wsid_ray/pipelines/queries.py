@@ -49,8 +49,7 @@ def q_turn_counts(sf_dir: str) -> rd.Dataset:
     partials = read_transcripts(
         sf_dir, columns=["conv_id", "turn_idx"]).map_batches(
             partial, batch_format="pandas")
-    return bucketed_group_apply(partials, ["conv_id"], combine,
-                                num_buckets=32)
+    return bucketed_group_apply(partials, ["conv_id"], combine)
 
 
 def q_role_counts(sf_dir: str) -> rd.Dataset:
@@ -111,7 +110,7 @@ def _token_count(ds: rd.Dataset, gazetteer_only: bool,
         return counted
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    return bucketed_sum(partials, [out_key], ["n"], num_buckets=16)
+    return bucketed_sum(partials, [out_key], ["n"])
 
 
 def q_unigram_counts(sf_dir: str) -> rd.Dataset:
@@ -239,8 +238,7 @@ def q_triple_support(sf_dir: str) -> rd.Dataset:
         ("last_ts", pa.timestamp("us"))])
     return bucketed_group_apply(
         raw.map_batches(part, batch_format="pandas"),
-        ["subj", "pred", "obj"], fold, num_buckets=16,
-        out_schema=out_schema)
+        ["subj", "pred", "obj"], fold, out_schema=out_schema)
 
 
 def q_sense_inventory_stats(sf_dir: str) -> pd.DataFrame:
@@ -274,8 +272,7 @@ def q_mention_link_rate(sf_dir: str) -> rd.Dataset:
         return g
 
     agg = bucketed_sum(lm.map_batches(part, batch_format="pandas"),
-                       ["term"], ["n_mentions", "n_linked"],
-                       num_buckets=2)
+                       ["term"], ["n_mentions", "n_linked"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -306,7 +303,7 @@ def q_triples_by_pred_daily(sf_dir: str) -> rd.Dataset:
         return out
 
     agg = bucketed_sum(tr.map_batches(part, batch_format="pandas"),
-                       ["pred", "day"], ["n"], num_buckets=2)
+                       ["pred", "day"], ["n"])
     out_schema = pa.schema([("pred", pa.string()),
                             ("day", pa.timestamp("us")),
                             ("n", pa.int64())])
@@ -349,7 +346,7 @@ def q_triple_conflicts(sf_dir: str) -> rd.Dataset:
                             ("objs", pa.string())])
     return bucketed_group_apply(
         tr.map_batches(part, batch_format="pandas"),
-        ["subj"], fold, num_buckets=4, out_schema=out_schema)
+        ["subj"], fold, out_schema=out_schema)
 
 
 def q_conv_sense_diversity(sf_dir: str) -> rd.Dataset:
@@ -379,7 +376,7 @@ def q_conv_sense_diversity(sf_dir: str) -> rd.Dataset:
                             ("n_mentions", pa.int64()),
                             ("n_terms", pa.int64()),
                             ("n_senses", pa.int64())])
-    return bucketed_group_apply(lm, ["conv_id"], fold, num_buckets=8,
+    return bucketed_group_apply(lm, ["conv_id"], fold,
                                 out_schema=out_schema)
 
 
@@ -449,7 +446,7 @@ def q_kg_growth_daily(sf_dir: str) -> rd.Dataset:
         return out.astype({"n_new": "int64"})
 
     dc = bucketed_sum(sup.map_batches(part, batch_format="pandas"),
-                      ["day"], ["n_new"], num_buckets=4)
+                      ["day"], ["n_new"])
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         df = df.groupby("day", as_index=False)["n_new"].sum() \
@@ -468,7 +465,7 @@ def q_kg_growth_daily(sf_dir: str) -> rd.Dataset:
             g=np.zeros(len(df), dtype=np.int64)),
             batch_format="pandas"),
         ["g"], lambda df: fold(df.drop(columns=["g"])),
-        num_buckets=1, out_schema=out_schema)
+        out_schema=out_schema)
 
 
 QUERIES = {

@@ -63,8 +63,7 @@ def _md5_hex_per_row(col: pa.Array | pa.ChunkedArray) -> list[str]:
     return out
 
 
-def conv_digest(ds: rd.Dataset, cap: int = SALT_CAP,
-                num_buckets: int = 32) -> rd.Dataset:
+def conv_digest(ds: rd.Dataset, cap: int = SALT_CAP) -> rd.Dataset:
     """(conv_id, digest) — md5 chain over per-turn md5s in turn order
     (mirrored in SQL as md5(string_agg(md5(text), '' ORDER BY turn_idx))).
 
@@ -123,5 +122,4 @@ def conv_digest(ds: rd.Dataset, cap: int = SALT_CAP,
 
     hashed = ds.select_columns(["conv_id", "turn_idx", "text"]).map_batches(
         hash_fold, batch_format="pyarrow", batch_size=32768)
-    return bucketed_group_apply(hashed, ["conv_id"], fn,
-                                num_buckets=num_buckets)
+    return bucketed_group_apply(hashed, ["conv_id"], fn)

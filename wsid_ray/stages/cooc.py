@@ -169,8 +169,7 @@ def aggregate_counts(mentions: rd.Dataset) -> rd.Dataset:
         out["n"] = out["n"].astype("int64")
         return out
 
-    return bucketed_group_apply(partials, ["term", "w", "v"], combine,
-                                num_buckets=64)
+    return bucketed_group_apply(partials, ["term", "w", "v"], combine)
 
 
 def split_counts(counts: rd.Dataset):

@@ -2,30 +2,35 @@
 
 ``Dataset.groupby(key).map_groups(fn)`` pays a Python call per group; with
 millions of tiny groups (one per turn, one per triple) that dominates wall
-time.  The pattern here: hash the key columns into ``num_buckets`` coarse
-buckets (deterministic ``pd.util.hash_pandas_object`` — fixed hash key, no
+time.  The pattern here: hash the key columns into B coarse buckets
+(deterministic ``pd.util.hash_pandas_object`` — fixed hash key, no
 process salt), move rows once keyed on the bucket id, and run a
 *vectorised* pandas function over each whole bucket.  All rows of a key
 land in one bucket, so per-key semantics (dedup, per-turn pair expansion,
-per-conv folds) hold; bucket count is chosen ~ O(cluster cores), so
-per-call overhead is amortised over thousands of keys.
+per-conv folds) hold whatever B is: the bucket count changes the number
+of reduce tasks, never a result.
 
-Two physical engines, measured on this container (1M rows, 32 blocks):
+B is derived from the input: B = max(1, ceil(rows / ROWS_PER_BUCKET)),
+with ``rows`` read from the block metadata of the execution the shuffle
+already runs (no extra pass).  So a reduce task's input stays bounded as
+the data grows, and a small input pays for one reduce task instead of
+tens of near-empty ones (the fixed cost that dominated short jobs).
+
+Two physical engines over the same executed input blocks:
 
   impl="tasks" (default): an explicit two-wave hash shuffle on raw Ray
     tasks — split each block into B bucket slices (one task/block,
     ``num_returns=B``), then one reduce task per bucket concatenates its
-    slices and applies fn.  ~1.0s at 8 CPUs and ~1.3s at 32 — flat in
-    CPU count, no sample/sort barrier.  This is the documented
-    "drop to raw Ray tasks" escape hatch: the Dataset API expresses the
-    same semantics (impl="sort") but its sort-based AllToAll measured
-    3.8s at 8 CPUs / 0.8-11s depending on key type and block count.
-    Partitioning assumption: driver holds blocks×B object refs, so it is
-    used when blocks×B is modest (auto-falls back to "sort" beyond
-    ``_TASKS_MAX_REFS``).
+    slices and applies fn.  ~1.0s at 8 CPUs and ~1.3s at 32 on 1M rows
+    in 32 blocks — flat in CPU count, no sample/sort barrier.  This is
+    the documented "drop to raw Ray tasks" escape hatch: the Dataset API
+    expresses the same semantics (impl="sort") but its sort-based
+    AllToAll measured 3.8s at 8 CPUs / 0.8-11s depending on key type and
+    block count.  The driver holds blocks×B slice refs, so beyond
+    ``_TASKS_MAX_REFS`` it falls back to "sort".
 
-  impl="sort": ``groupby(bucket_int).map_groups`` — fully streaming,
-    no driver refs; the unbounded-scale path.
+  impl="sort": ``groupby(bucket_int).map_groups`` — no per-slice driver
+    refs; the unbounded-scale path.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import ray.data as rd
 
 BUCKET_COL = "__bucket"
 _TASKS_MAX_REFS = 50_000
+ROWS_PER_BUCKET = 50_000
 
 
 def _bucket_of(df: pd.DataFrame, key_cols: list[str],
@@ -68,8 +74,8 @@ def drop_empty_refs(outs: list) -> list:
     downstream operator — so raw-task ops must not surface empty blocks.
     Keeps one block when all are empty (the dataset needs a schema).
     Driver-side barrier on the producing tasks — acceptable here because
-    the tasks impl already sits behind a to_arrow_refs barrier by design
-    (module doc)."""
+    the tasks impl already waits for its whole input to execute (the
+    bucket count comes from its row count)."""
     counts = ray.get([_num_rows.remote(o) for o in outs])
     keep = [o for o, c in zip(outs, counts) if c]
     return keep if keep else outs[:1]
@@ -98,6 +104,25 @@ def _split_block(tb: pa.Table, key_cols: list[str], num_buckets: int):
 @ray.remote
 def _block_schema(tb: pa.Table) -> pa.Schema:
     return tb.schema
+
+
+@ray.remote
+def _to_arrow(block) -> pa.Table:
+    from ray.data.block import BlockAccessor
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+def _arrow_blocks(ds: rd.Dataset) -> tuple[list, int]:
+    """Execute ``ds`` once: its blocks as Arrow table refs (as
+    ``to_arrow_refs`` returns them) and their total row count, read from
+    the block metadata of that execution."""
+    refs, rows = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        arrow = isinstance(bundle.schema, pa.Schema)
+        for ref, meta in bundle.blocks:
+            refs.append(ref if arrow else _to_arrow.remote(ref))
+            rows += meta.num_rows
+    return refs, rows
 
 
 def _probe_out_schema(bucket_fn, in_schema: pa.Schema) -> pa.Schema | None:
@@ -146,24 +171,22 @@ def _reduce_bucket(fn, out_schema, empty_schema, *parts):
     return res.replace_schema_metadata(None)
 
 
-def _tasks_apply(ds: rd.Dataset, key_cols: list[str],
-                 bucket_fn, num_buckets: int,
-                 out_schema: pa.Schema | None = None) -> rd.Dataset | None:
-    blocks = ds.to_arrow_refs()
-    if not blocks or len(blocks) * num_buckets > _TASKS_MAX_REFS:
-        return None
+def _tasks_apply(blocks: list, key_cols: list[str], bucket_fn,
+                 num_buckets: int,
+                 out_schema: pa.Schema | None = None) -> rd.Dataset:
     empty_schema = None
     if out_schema is None:
         # one probe per pipeline build, reused by every empty bucket
         empty_schema = _probe_out_schema(
             bucket_fn, ray.get(_block_schema.remote(blocks[0])))
     B = num_buckets
-    split_refs = [
-        _split_block.options(num_returns=B).remote(b, key_cols, B)
-        for b in blocks
-    ]
-    if B == 1:  # num_returns=1 yields a bare ref, not a 1-tuple
-        split_refs = [[r] for r in split_refs]
+    if B == 1:  # nothing to split: the one reduce reads every block
+        split_refs = [[b] for b in blocks]
+    else:
+        split_refs = [
+            _split_block.options(num_returns=B).remote(b, key_cols, B)
+            for b in blocks
+        ]
     # no driver-side barrier: every reduce is scheduled immediately and
     # starts as soon as its B input slices exist; all-empty buckets
     # return a typed empty table (schema-stable, cheap)
@@ -179,26 +202,28 @@ def bucketed_group_apply(
     ds: rd.Dataset,
     key_cols: list[str],
     bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
-    num_buckets: int = 32,
+    num_buckets: int | None = None,
     impl: str | None = None,
     out_schema: pa.Schema | None = None,
 ) -> rd.Dataset:
-    """One hash shuffle keyed on hash(key_cols) % num_buckets, then
-    ``bucket_fn`` over each whole bucket (vectorise inside!).
+    """One hash shuffle keyed on hash(key_cols) % B, then ``bucket_fn``
+    over each whole bucket (vectorise inside!).  B is derived from the
+    row count of ``ds`` (module docstring) unless ``num_buckets`` is
+    given.
 
     ``out_schema``: declared Arrow schema of bucket_fn's output — empty
     buckets emit exactly this schema (no dtype guessing) and non-empty
     outputs are cast to it, keeping the block stream schema-stable."""
-    if impl in (None, "tasks"):
-        # the measured-faster default (module docstring); it falls back
-        # to the fully-streaming "sort" path beyond _TASKS_MAX_REFS
-        out = _tasks_apply(ds, key_cols, bucket_fn, num_buckets, out_schema)
-        if out is not None:
-            return out
-        # fall through: too many refs, no blocks, or all-empty input
+    blocks, rows = _arrow_blocks(ds)
+    B = num_buckets or max(1, -(-rows // ROWS_PER_BUCKET))
+    if impl in (None, "tasks") and blocks and \
+            len(blocks) * B <= _TASKS_MAX_REFS:
+        # the measured-faster default (module docstring)
+        return _tasks_apply(blocks, key_cols, bucket_fn, B, out_schema)
 
-    withb = ds.map_batches(lambda df: add_bucket(df, key_cols, num_buckets),
-                           batch_format="pandas")
+    src = rd.from_arrow_refs(blocks) if blocks else ds
+    withb = src.map_batches(lambda df: add_bucket(df, key_cols, B),
+                            batch_format="pandas")
 
     def run(g: pd.DataFrame) -> pd.DataFrame:
         return bucket_fn(g.drop(columns=[BUCKET_COL]))
@@ -212,7 +237,7 @@ def bucketed_group_apply(
 
 
 def distinct(ds: rd.Dataset, key_cols: list[str],
-             num_buckets: int = 32) -> rd.Dataset:
+             num_buckets: int | None = None) -> rd.Dataset:
     """Exact distinct on key_cols (keep first row per key after a
     deterministic sort on the keys); per-batch partial first."""
     def fn(g: pd.DataFrame) -> pd.DataFrame:
@@ -222,9 +247,9 @@ def distinct(ds: rd.Dataset, key_cols: list[str],
     return bucketed_group_apply(partial, key_cols, fn, num_buckets)
 
 
-
 def bucketed_sum(partials: rd.Dataset, key_cols: list[str],
-                 sum_cols: list[str], num_buckets: int = 32) -> rd.Dataset:
+                 sum_cols: list[str],
+                 num_buckets: int | None = None) -> rd.Dataset:
     """Final combine of per-batch partials: ``sum_cols`` summed per key
     over one bucketed shuffle."""
     def combine(df: pd.DataFrame) -> pd.DataFrame:

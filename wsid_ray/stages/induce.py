@@ -59,11 +59,10 @@ def induce_senses(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:
                                          "weight"])
         return pd.concat(outs, ignore_index=True)
 
-    return bucketed_group_apply(edges, ["term"], per_bucket, num_buckets=16)
+    return bucketed_group_apply(edges, ["term"], per_bucket)
 
 
-def sense_modularity(edges: rd.Dataset, algo: str = "cw",
-                     num_buckets: int = 8) -> rd.Dataset:
+def sense_modularity(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:
     """Clustering-quality metric for the induced senses: weighted
     Newman modularity of each term's CW partition over its NPMI ego
     graph, computed in EXACT integers — with micro-unit edge weights
@@ -121,5 +120,4 @@ def sense_modularity(edges: rd.Dataset, algo: str = "cw",
                             ("m_micro", pa.int64()),
                             ("q6", pa.float64())])
     return bucketed_group_apply(edges, ["term"], per_bucket,
-                                num_buckets=num_buckets,
                                 out_schema=out_schema)

@@ -97,8 +97,8 @@ def _typed(df: pd.DataFrame) -> pd.DataFrame:
     return df[TRIPLE_COLS]
 
 
-def triples_from_mentions(mentions: rd.Dataset, canon: dict[str, str],
-                          num_buckets: int = 32) -> rd.Dataset:
+def triples_from_mentions(mentions: rd.Dataset,
+                          canon: dict[str, str]) -> rd.Dataset:
     """Linked mentions -> raw (pre-dedup) triples.
 
     Both branches emit blocks already conformed to the TRIPLES arrow
@@ -116,16 +116,18 @@ def triples_from_mentions(mentions: rd.Dataset, canon: dict[str, str],
     pairs = bucketed_group_apply(
         cols, ["conv_id", "turn_idx"],
         lambda df: pair_triples_bucket(df, canon),
-        num_buckets=num_buckets, out_schema=schemas.TRIPLES)
+        out_schema=schemas.TRIPLES)
     return cols.map_batches(unary, batch_format="pandas").union(pairs)
 
 
+# The sink layout's one constant: its writer and its pruned reader both
+# hash subjects into this many directories.
 SUBJ_BUCKETS = 16
 
 
-def with_subj_bucket(ds: rd.Dataset,
-                     num_buckets: int = SUBJ_BUCKETS) -> rd.Dataset:
-    """Append subj_bucket = stable_hash64(subj) % B (S3 sink layout key)."""
+def with_subj_bucket(ds: rd.Dataset) -> rd.Dataset:
+    """Append subj_bucket = stable_hash64(subj) % SUBJ_BUCKETS (S3 sink
+    layout key)."""
     import numpy as np
 
     from ..util import stable_hash_strings
@@ -137,18 +139,17 @@ def with_subj_bucket(ds: rd.Dataset,
         h = stable_hash_strings(t["subj"].to_pylist())
         return t.append_column(
             "subj_bucket",
-            pa.array((h % num_buckets).astype(np.int32), type=pa.int32()))
+            pa.array((h % SUBJ_BUCKETS).astype(np.int32), type=pa.int32()))
 
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-def write_triples_partitioned(ds: rd.Dataset, out_dir: str,
-                              num_buckets: int = SUBJ_BUCKETS) -> None:
+def write_triples_partitioned(ds: rd.Dataset, out_dir: str) -> None:
     """S3: hive-partitioned triple sink — one ``subj_bucket=<b>/`` dir per
     subject hash bucket (SURVEY.md §2.1), so downstream KG reads prune to
     one bucket instead of scanning every file.  The bucket value lives in
     the directory name only; file contents keep the plain triple schema."""
-    with_subj_bucket(ds, num_buckets).write_parquet(
+    with_subj_bucket(ds).write_parquet(
         out_dir, partition_cols=["subj_bucket"])
 
 
@@ -164,32 +165,33 @@ def read_triples_partitioned(parts: list[list[str]]) -> rd.Dataset:
     """Read sinks written by ``write_triples_partitioned``: one read task
     and one block per list of files (a checkpoint partition).
 
-    The sink holds one file per (written block, subject bucket), ~110
-    per partition of a 12k-turn batch, and ``rd.read_parquet`` plans a
-    read of that many files with metadata-prefetch and sampling tasks: on
-    4 CPUs, reading and deduplicating three such partitions took 2.8-4.5 s
-    that way, varying from one call to the next, and a steady 0.6-0.7 s
-    with these tasks."""
+    The sink holds one file per (written block, subject bucket).  The
+    dedup sizes its shuffle from its input, so a 12k-turn batch's
+    partition is one block and at most ``SUBJ_BUCKETS`` files.  When a
+    fixed 32-bucket dedup wrote ~110 files per partition,
+    ``rd.read_parquet`` planned their read with metadata-prefetch and
+    sampling tasks: on 4 CPUs, reading and deduplicating three such
+    partitions took 2.8-4.5 s that way, varying from one call to the
+    next, and a steady 0.6-0.7 s with these tasks."""
     from .. import schemas
     refs = [_read_sink_files.remote(p) for p in parts if p]
     return (rd.from_arrow_refs(refs) if refs
             else rd.from_arrow(schemas.TRIPLES.empty_table()))
 
 
-def read_triples_for_subject(root: str, subj: str,
-                             num_buckets: int = SUBJ_BUCKETS) -> rd.Dataset:
+def read_triples_for_subject(root: str, subj: str) -> rd.Dataset:
     """Pruned read: only the subject's hash-bucket directory is scanned."""
     import pyarrow.compute as pc
 
     from ..util import stable_hash64
-    b = stable_hash64(subj) % num_buckets
+    b = stable_hash64(subj) % SUBJ_BUCKETS
     ds = rd.read_parquet(f"{root}/subj_bucket={b}")
     return ds.map_batches(
         lambda t: t.filter(pc.equal(t["subj"], subj)),
         batch_format="pyarrow")
 
 
-def dedup_triples(triples: rd.Dataset, num_buckets: int = 32) -> rd.Dataset:
+def dedup_triples(triples: rd.Dataset) -> rd.Dataset:
     """Exact dedup on (subj,pred,obj); first provenance by (conv, turn).
 
     Partial-before-shuffle: each batch drops its local duplicates first
@@ -205,5 +207,4 @@ def dedup_triples(triples: rd.Dataset, num_buckets: int = 32) -> rd.Dataset:
     partial = triples.map_batches(fn, batch_format="pandas",
                                   batch_size=None)
     return bucketed_group_apply(partial, ["subj", "pred", "obj"], fn,
-                                num_buckets=num_buckets,
                                 out_schema=schemas.TRIPLES)

@@ -52,7 +52,7 @@ def _expand_bucket(df: pd.DataFrame) -> pd.DataFrame:
 
 def _dedup_edges(edges: rd.Dataset) -> rd.Dataset:
     from .groups import distinct
-    return distinct(edges, ["u", "v"], num_buckets=16)
+    return distinct(edges, ["u", "v"])
 
 
 def _checksum(edges: rd.Dataset) -> tuple[int, int]:
@@ -105,7 +105,6 @@ def connected_components(edges: rd.Dataset) -> rd.Dataset:
         # vectorised pandas pass per bucket (item 9 — the per-node
         # map_groups Python-call cost is gone)
         nxt = bucketed_group_apply(cur, ["u"], _expand_bucket,
-                                   num_buckets=16,
                                    out_schema=edge_schema)
         nxt = _dedup_edges(nxt).materialize()
         s = _checksum(nxt)
@@ -193,6 +192,6 @@ def canonicalize(entity_kb_edges: rd.Dataset,
 
     from .groups import bucketed_group_apply
     return bucketed_group_apply(
-        comps, ["comp"], per_bucket, num_buckets=16,
+        comps, ["comp"], per_bucket,
         out_schema=pa.schema([("entity_id", pa.string()),
                               ("canon_id", pa.string())]))

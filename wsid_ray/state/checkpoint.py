@@ -15,7 +15,9 @@ which a resume simply overwrites (idempotent stages).  A kill during the
 append itself leaves a torn final row; it is dropped on load and that
 partition recomputes.  A manifest row is only trusted when its
 ``lineage`` (input files + config hash) matches the current run, so
-changing inputs or config invalidates stale partitions.  A retired
+changing inputs or config invalidates stale partitions
+(``run_checkpointed`` names each file by path, size and mtime, so an
+input rewritten in place counts as changed).  A retired
 partition (its input is gone) gets a ``done: false`` row and loses its
 directory, so it is never served again.
 """
