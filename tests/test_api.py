@@ -18,18 +18,21 @@ def corpus():
 
 
 def test_induce_matches_oracle():
-    cfg = PipelineConfig(gazetteer=("python",))
-    inv = api.induce(corpus(), "python", cfg=cfg)
+    """Also with a non-default ``sense_top_k``: the engine's fit honours
+    every induction knob of the config."""
     turns = [{"conv_id": f"doc{i:08d}", "turn_idx": 0, "role": "user",
               "text": t, "tool": "", "ts": 0}
              for i, t in enumerate(corpus())]
-    mentions = extract_mentions(turns, cfg)
-    edges = npmi_edges(*cooc_stats(mentions), cfg)
-    want = oracle_induce(edges, cfg)["python"]
-    assert len(inv) == len(want) >= 2  # the two planted senses separate
-    for sid, vec in enumerate(inv):
-        assert {t: round(w, 9) for t, w in vec.items()} == \
-            {t: round(w, 9) for t, w in want[sid].items()}
+    for cfg in (PipelineConfig(gazetteer=("python",)),
+                PipelineConfig(gazetteer=("python",), sense_top_k=3)):
+        inv = api.induce(corpus(), "python", cfg=cfg)
+        mentions = extract_mentions(turns, cfg)
+        edges = npmi_edges(*cooc_stats(mentions), cfg)
+        want = oracle_induce(edges, cfg)["python"]
+        assert len(inv) == len(want) >= 2  # the two planted senses separate
+        for sid, vec in enumerate(inv):
+            assert {t: round(w, 9) for t, w in vec.items()} == \
+                {t: round(w, 9) for t, w in want[sid].items()}
 
 
 def test_disambiguate_picks_planted_sense():

@@ -444,12 +444,14 @@ def test_llr_parity_and_scipy_band():
     from wsid_ray.config import DEFAULT_CONFIG as CFG
     from wsid_ray.pipelines.flagship import detect_mentions
     from wsid_ray.pipelines.queries import read_transcripts
-    from wsid_ray.stages.cooc import aggregate_counts, split_counts
+    from wsid_ray.stages.cooc import aggregate_counts
     from wsid_ray.stages.tokenize import tokenize_batch
     turns = read_transcripts(SF).map_batches(tokenize_batch,
                                              batch_format="pyarrow")
-    counts = aggregate_counts(detect_mentions(turns, CFG))
-    tot, uni, _ = split_counts(counts)
+    counts = aggregate_counts(detect_mentions(turns, CFG)).take_all()
+    tot = {r["term"]: r["n"] for r in counts if r["w"] == ""}
+    uni = {(r["term"], r["w"]): r["n"] for r in counts
+           if r["w"] != "" and r["v"] == ""}
     for _, r in got.head(5).iterrows():
         n, cw, cv = r["n"], uni[(r["term"], r["w"])], \
             uni[(r["term"], r["v"])]

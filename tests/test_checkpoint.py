@@ -138,13 +138,42 @@ def test_shrunk_corpus_matches_fresh_run(full_run, tmp_path, monkeypatch):
     assert triple_set(out) == run_oracle(files[:2])["triples"]
 
 
+def _count_tokenized(monkeypatch, path):
+    """Make every tokenize call append its row count to ``path`` (the
+    calls run in worker processes); returns a reader of the total."""
+    from wsid_ray.pipelines import flagship
+    real = flagship.tokenize_batch
+
+    def counting(batch):
+        with open(path, "a") as f:
+            f.write(f"{batch.num_rows}\n")
+        return real(batch)
+
+    monkeypatch.setattr(flagship, "tokenize_batch", counting)
+
+    def total():
+        if not os.path.exists(path):
+            return 0
+        with open(path) as f:
+            n = sum(int(x) for x in f)
+        os.remove(path)
+        return n
+    return total
+
+
 def test_fresh_run_reads_each_file_once(tmp_path, monkeypatch):
-    """A fresh run reads every input file once; a resume after losing
-    triple partitions 2-3 reads only those two shards' files."""
+    """A fresh run reads every input file once, and tokenizes each of its
+    rows once (run_flagship too); a resume after losing triple
+    partitions 2-3 reads and tokenizes only those two shards' files."""
     from collections import Counter
 
+    import pyarrow.parquet as pq
+
+    from wsid_ray.pipelines.flagship import run_flagship
     from wsid_ray.sources import transcripts
     files = transcript_files("sf0.001")
+    turns = [pq.read_metadata(f).num_rows for f in files]
+    tokenized = _count_tokenized(monkeypatch, str(tmp_path / "tokenized"))
     reads = Counter()
     real = transcripts.read_parquet_clean
 
@@ -156,6 +185,7 @@ def test_fresh_run_reads_each_file_once(tmp_path, monkeypatch):
     out = str(tmp_path / "once")
     ckpt = run_checkpointed("sf0.001", out, shard_files=1)
     assert reads == Counter(files)
+    assert tokenized() == sum(turns)
 
     mpath = os.path.join(out, "manifest.jsonl")
     with open(mpath) as f:
@@ -168,6 +198,10 @@ def test_fresh_run_reads_each_file_once(tmp_path, monkeypatch):
     reads.clear()
     run_checkpointed("sf0.001", out, shard_files=1)
     assert reads == Counter(files[2:])
+    assert tokenized() == sum(turns[2:])
+
+    run_flagship("sf0.001")
+    assert tokenized() == sum(turns)
 
 
 def test_manifest_times_the_partition_work(tmp_path, monkeypatch):

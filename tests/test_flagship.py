@@ -61,24 +61,6 @@ def test_linked_senses_track_planted_kb(tiny_results):
     assert good / max(1, good + bad) >= 0.8, (good, bad)
 
 
-def test_fit_paths_agree():
-    """Driver fit and distributed NPMI+induce produce the same inventory."""
-    from wsid_ray.config import DEFAULT_CONFIG
-    from wsid_ray.pipelines.flagship import (detect_mentions, fit_inventory,
-                                             induce_inventory)
-    from wsid_ray.stages.tokenize import tokenize_batch
-
-    turns = read_transcripts("tiny").map_batches(tokenize_batch,
-                                                 batch_format="pyarrow")
-    mentions = detect_mentions(turns, DEFAULT_CONFIG).materialize()
-    a = fit_inventory(mentions, DEFAULT_CONFIG)
-    b = induce_inventory(mentions, DEFAULT_CONFIG)
-    key = lambda r: (r["term"], r["sense_id"], r["token"])
-    da = {key(r): round(r["weight"], 9) for r in a}
-    db = {key(r): round(r["weight"], 9) for r in b}
-    assert da == db
-
-
 def _tiny_mentions():
     from wsid_ray.config import DEFAULT_CONFIG
     from wsid_ray.pipelines.flagship import detect_mentions
@@ -87,26 +69,41 @@ def _tiny_mentions():
     return detect_mentions(turns, DEFAULT_CONFIG).materialize()
 
 
+def test_fit_matches_oracle_at_any_bucket_count(monkeypatch):
+    """The fit's inventory equals the oracle's whether the term-keyed
+    shuffle has one bucket, a few, or more buckets than terms (empty
+    buckets included): every reduce holds whole terms."""
+    from wsid_ray.config import DEFAULT_CONFIG
+    from wsid_ray.pipelines.flagship import fit_model
+    from wsid_ray.stages import groups
+    from wsid_ray.stages.cooc import window_partials
+    from wsid_ray.stages.disambig import inventory_from_rows
+
+    mentions = _tiny_mentions()
+    want = run_oracle(transcript_files("tiny"))["inventory"]
+    rows = window_partials(mentions).count()
+    seen = []
+    for n in (1, 2, 3, 32):
+        monkeypatch.setattr(groups, "ROWS_PER_BUCKET", -(-rows // n))
+        seen.append(-(-rows // groups.ROWS_PER_BUCKET))
+        inv, edge_maps = fit_model(mentions, DEFAULT_CONFIG)
+        assert edge_maps is None
+        assert inventory_from_rows(inv) == want, seen
+    assert seen[:3] == [1, 2, 3] and seen[3] > len(want), seen
+
+
 def test_fit_gate_decides_before_driver_collect(monkeypatch):
-    """VERDICT r04 item 1: above DRIVER_FIT_THRESHOLD the aggregated
-    counts table must NEVER be pulled to the driver — the path decision
-    comes from a distributed count().  A spy on collect_rows asserts no
-    driver collect ever sees a pair-count row (v != '' without npmi):
-    only the totals/unigrams slice, the pruned edges and the inventory
-    may land driver-side on the distributed branch."""
+    """The fit counts, weighs and clusters inside the reduces of one
+    term-keyed shuffle: no raw (term, w, v, n) count row ever reaches a
+    driver collect, only the inventory and (with expand_cooc) the pruned
+    edges, which equal the oracle's."""
     import wsid_ray.util as util
     from wsid_ray.config import PipelineConfig
     from wsid_ray.pipelines import flagship
-    from wsid_ray.stages.cooc import aggregate_counts, cooc_edges
+    from wsid_ray.stages.disambig import inventory_from_rows
 
     cfg = PipelineConfig(expand_cooc=True)
     mentions = _tiny_mentions()
-    n_counts = aggregate_counts(mentions).count()
-    n_edges = cooc_edges(mentions, cfg.cooc_min_count, cfg.npmi_min).count()
-    assert 0 < n_edges < n_counts  # pruning is real on tiny
-
-    base_inv, base_maps = flagship.fit_model(mentions, cfg)
-
     offending: list[frozenset] = []
     real = util.collect_rows
 
@@ -119,29 +116,26 @@ def test_fit_gate_decides_before_driver_collect(monkeypatch):
         return rows
 
     monkeypatch.setattr(util, "collect_rows", spy)
-    # counts (n_counts rows) > threshold >= edges: distributed branch,
-    # edge collect allowed
-    monkeypatch.setattr(flagship, "DRIVER_FIT_THRESHOLD", n_edges)
     inv, maps = flagship.fit_model(mentions, cfg)
     assert not offending, "raw pair counts were collected to the driver"
-    key = lambda r: (r["term"], r["sense_id"], r["token"])
-    assert {key(r): round(r["weight"], 9) for r in inv} == \
-           {key(r): round(r["weight"], 9) for r in base_inv}
-    assert {t: {k: round(v, 9) for k, v in m.items()}
-            for t, m in maps.items()} == \
-           {t: {k: round(v, 9) for k, v in m.items()}
-            for t, m in base_maps.items()}
+    oracle = run_oracle(transcript_files("tiny"), cfg)
+    assert inventory_from_rows(inv) == oracle["inventory"]
+    want = {t: {(w, v): x for w, v, x in es}
+            for t, es in oracle["edges"].items()}
+    assert {t: set(m) for t, m in maps.items()} == \
+           {t: set(m) for t, m in want.items()}
+    assert all(abs(x - want[t][e]) < 1e-12
+               for t, m in maps.items() for e, x in m.items())
 
 
 def test_fit_gate_expand_cooc_guard(monkeypatch):
-    """The expand_cooc edge-map collect carries the same guard: above the
-    threshold the broadcast expansion state is refused loudly instead of
-    OOMing the driver."""
+    """The expand_cooc edge-map collect is refused loudly above its bound
+    instead of OOMing the driver."""
     from wsid_ray.config import PipelineConfig
     from wsid_ray.pipelines import flagship
 
     mentions = _tiny_mentions()
-    monkeypatch.setattr(flagship, "DRIVER_FIT_THRESHOLD", 0)
+    monkeypatch.setattr(flagship, "EXPAND_STATE_MAX_ROWS", 0)
     with pytest.raises(ValueError, match="expand_cooc"):
         flagship.fit_model(mentions, PipelineConfig(expand_cooc=True))
 

@@ -79,3 +79,14 @@ def test_kg_package_never_imports_the_catalogue():
             bad += [f"{path.name}: {n}" for n in names
                     if n.split(".")[0] in ("wsid_catalog", "__ray_entry__")]
     assert bad == []
+
+
+def test_only_the_oracle_is_the_oracle():
+    """The engine shares only config and ``cw.py`` with the sequential
+    oracle (``oracle.py`` docstring): no other module imports it, so an
+    engine/oracle comparison never compares the oracle with itself."""
+    mods = _modules()
+    bad = sorted(name for name, path in mods.items()
+                 if name != "wsid_ray.oracle"
+                 and "wsid_ray.oracle" in _imports(name, path, mods))
+    assert bad == []

@@ -41,7 +41,7 @@ def test_cap_is_deterministic_and_approximate():
 
 
 def test_stage_registry_pipeline():
-    assert {"tokenize", "detect_mentions", "cap_windows"} <= set(REGISTRY)
+    assert {"tokenize", "detect_mentions"} <= set(REGISTRY)
     t = pa.table({
         "conv_id": ["c0"], "turn_idx": pa.array([0], type=pa.int32()),
         "role": ["user"], "text": ["the python interpreter ran the module"],

@@ -79,18 +79,6 @@ def _register_builtins() -> None:
             batch_format="pyarrow", batch_size=4096),
     ))
 
-    def _cap(ds, cfg):
-        from wsid_catalog.stages.sampling import cap_windows_per_term
-        cap = getattr(cfg, "max_windows_per_term", None)
-        return cap_windows_per_term(ds, cap) if cap else ds
-
-    register(Stage(
-        name="cap_windows",
-        description="O3: deterministic per-term window cap (skew control)",
-        input_cols=("term",),
-        build=_cap,
-    ))
-
     # document-table (training-data) operators — all stateless map stages
     # except the near-dup candidate generators, which shuffle
     def _doc_map(fn_name: str):

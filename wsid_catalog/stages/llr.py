@@ -4,11 +4,16 @@ wsid_ray.stages.cooc: Dunning G² and Dice per pruned NPMI edge.
 
 from __future__ import annotations
 import numpy as np
+import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data as rd
-from wsid_ray.stages.cooc import (_cached_get, cooc_edges_from_counts,
-                                  split_counts)
+from wsid_ray.stages.cooc import npmi_pairs
+from wsid_ray.stages.groups import bucketed_group_apply
+
+LLR_SCHEMA = pa.schema([("term", pa.string()), ("w", pa.string()),
+                        ("v", pa.string()), ("n", pa.int64()),
+                        ("g2_micro", pa.int64()),
+                        ("dice_micro", pa.int64())])
 
 
 def llr_edges(counts: rd.Dataset, min_count: int,
@@ -26,34 +31,13 @@ def llr_edges(counts: rd.Dataset, min_count: int,
     float division) and the final doubling exact.  Dice rides along:
     dice_micro = (2·n·1e6) // (n(w) + n(v)), pure integer.
 
-    Scale: same shape as the NPMI weigher — pruned pairs stream
-    through stateless tasks with the vocab-bounded unigram/total dicts
-    broadcast once."""
-    totals, unigrams, _pairs = split_counts(counts)
-    edges = cooc_edges_from_counts(counts, min_count, npmi_min)
-    totals_ref = ray.put(totals)
-    unigrams_ref = ray.put(unigrams)
-
-    def score(batch: pa.Table) -> pa.Table:
-        tot = _cached_get(totals_ref)
-        uni = _cached_get(unigrams_ref)
-        if batch.num_rows == 0:
-            return pa.table({
-                "term": pa.array([], pa.string()),
-                "w": pa.array([], pa.string()),
-                "v": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "g2_micro": pa.array([], pa.int64()),
-                "dice_micro": pa.array([], pa.int64())})
-        terms = batch["term"].to_pylist()
-        ws = batch["w"].to_pylist()
-        vs = batch["v"].to_pylist()
-        n = batch["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-        N = np.array([tot[t] for t in terms], dtype=np.int64)
-        cw = np.array([uni[(t, w)] for t, w in zip(terms, ws)],
-                      dtype=np.int64)
-        cv = np.array([uni[(t, v)] for t, v in zip(terms, vs)],
-                      dtype=np.int64)
+    Scale: one term-keyed reduce over the summed counts — each bucket
+    holds whole terms, so cooc's ``npmi_pairs`` prunes the edges and
+    hands over N, n(w) and n(v) from the bucket's own rows."""
+    def score(df: pd.DataFrame) -> pd.DataFrame:
+        e = npmi_pairs(df, min_count, npmi_min)
+        n, N = e["n"].to_numpy(np.int64), e["N"].to_numpy(np.int64)
+        cw, cv = e["n_w"].to_numpy(np.int64), e["n_v"].to_numpy(np.int64)
 
         def cell(o, rt, ct):
             t = np.zeros(len(o), dtype=np.int64)
@@ -68,13 +52,9 @@ def llr_edges(counts: rd.Dataset, min_count: int,
                   + cell(cw - n, cw, N - cv)
                   + cell(cv - n, N - cw, cv)
                   + cell(N - cw - cv + n, N - cw, N - cv))
-        dice = (2 * n * 1_000_000) // (cw + cv)
-        return pa.table({
-            "term": batch["term"], "w": batch["w"], "v": batch["v"],
-            "n": batch["n"],
-            "g2_micro": pa.array(g2, type=pa.int64()),
-            "dice_micro": pa.array(dice, type=pa.int64())})
+        return pd.DataFrame({"term": e["term"], "w": e["w"], "v": e["v"],
+                             "n": n, "g2_micro": g2,
+                             "dice_micro": (2 * n * 1_000_000) // (cw + cv)})
 
-    return edges.map_batches(score, batch_format="pyarrow",
-                             batch_size=65536)
-
+    return bucketed_group_apply(counts, ["term"], score,
+                                out_schema=LLR_SCHEMA)

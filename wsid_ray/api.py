@@ -42,25 +42,21 @@ def induce(texts: list[str], target: str,
            algo: str | None = None) -> list[dict[str, float]]:
     """Reference entry point 1: sense induction for one target term.
 
-    Runs the distributed cooc path (tokenize -> windows around ``target``
-    -> hyperedge counts -> NPMI -> graph clustering) over ``texts`` and
+    Runs the engine's fit (tokenize -> windows around ``target`` ->
+    hyperedge counts -> NPMI -> graph clustering) over ``texts`` and
     returns the induced senses as a list of {token: weight} vectors,
     ordered by sense_id — the reference's in-memory return shape.
     """
-    from .pipelines.flagship import detect_mentions
-    from .stages.cooc import cooc_edges
-    from .stages.induce import induce_senses
+    from .pipelines.flagship import detect_mentions, fit_model
     from .stages.tokenize import tokenize_batch
-    from .util import collect_rows
 
     if window_size is not None:
         cfg = replace(cfg, window_size=window_size)
-    cfg = replace(cfg, gazetteer=(target,))
+    cfg = replace(cfg, gazetteer=(target,),
+                  induce_algo=algo or cfg.induce_algo)
     turns = _corpus_dataset(texts).map_batches(tokenize_batch,
                                                batch_format="pyarrow")
-    mentions = detect_mentions(turns, cfg)
-    edges = cooc_edges(mentions, cfg.cooc_min_count, cfg.npmi_min)
-    rows = collect_rows(induce_senses(edges, algo=algo or cfg.induce_algo))
+    rows, _ = fit_model(detect_mentions(turns, cfg), cfg)
     senses: dict[int, dict[str, float]] = {}
     for r in rows:
         if r["term"] != target:

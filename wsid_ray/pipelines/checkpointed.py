@@ -2,8 +2,9 @@
 a checkpointed sink.  Each partition is one manifest row with lineage and
 throughput, timed over the work that builds it (BASELINE.json:6).
 
-  senses, edges, canon   global: the driver-side fit (edges only with
-                         expand_cooc) and the union-find canon map
+  senses, edges, canon   global: the fit's inventory (and its pruned
+                         edges with expand_cooc) and the union-find
+                         canon map
   triples/part-<k>       input shard k: linked mentions → assemble →
                          within-shard dedup, subj-bucketed (S3)
 

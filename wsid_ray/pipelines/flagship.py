@@ -5,8 +5,9 @@
 1. ``read_mentions``: read → tokenize (M1/M2) → detect mentions + windows
    (A1/M4), one fused operator, so each input file is read once.
 2. ``fit_model`` over the pinned mentions (text-free, ~0.6 rows/turn):
-   distributed window counts (SHUFFLE 2), then NPMI + Chinese Whispers
-   (M5/M6) on the driver → sense inventory broadcast.
+   per-block window counts, then one term-keyed shuffle whose reduces
+   sum the counts, weigh them (NPMI, M5/M6) and run Chinese Whispers;
+   the driver collects the sense inventory and broadcasts it.
 3. ``linker``: disambiguate + entity-link (A2/A3) the same pinned
    mentions; the linked stream is pinned, as both later steps read it.
 4. ``canon_map`` (union-find, D3), then triple assembly + dedup (M8/D1).
@@ -23,9 +24,8 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..sources.transcripts import read_transcripts
-from ..stages.cooc import cooc_edges
 from ..stages.disambig import disambiguate, inventory_from_rows
-from ..stages.induce import induce_senses
+from ..stages.induce import fit_senses
 from ..stages.tokenize import tokenize_batch
 from ..stages.triples import dedup_triples, triples_from_mentions
 from ..stages.unionfind import canonicalize
@@ -62,86 +62,42 @@ def read_mentions(sf_dir_or_scale: str, cfg: PipelineConfig,
     return detect_mentions(turns, cfg)
 
 
-def induce_inventory(mentions: rd.Dataset, cfg: PipelineConfig) -> list[dict]:
-    """mentions -> sense inventory rows via the fully distributed path
-    (NPMI map + per-term groupby Chinese Whispers)."""
-    from ..util import collect_rows
-    edges = cooc_edges(mentions, cfg.cooc_min_count, cfg.npmi_min)
-    return collect_rows(induce_senses(edges, algo=cfg.induce_algo))
-
-
-# Above this many aggregated (term,w,v) rows the model no longer belongs
-# on the driver and the distributed NPMI+induce path takes over.
-DRIVER_FIT_THRESHOLD = 2_000_000
-
-
-def fit_inventory(mentions: rd.Dataset, cfg: PipelineConfig) -> list[dict]:
-    return fit_model(mentions, cfg)[0]
+# expand_cooc collects the pruned NPMI edges with the inventory and
+# broadcasts them to every scorer: above this many fit rows that state
+# would not fit one scorer (stages/disambig.py scale note).
+EXPAND_STATE_MAX_ROWS = 2_000_000
 
 
 def fit_model(mentions: rd.Dataset, cfg: PipelineConfig):
-    """mentions -> (sense inventory rows, {term: {(w,v): npmi}}), size-aware.
+    """mentions -> (sense inventory rows, {term: {(w, v): npmi}} with
+    ``expand_cooc``, else None).
 
-    Window counting is always distributed (partial per batch + one
-    shuffle in aggregate_counts).  The aggregated counts are vocab-bounded
-    (|gazetteer|·|window vocab|²), a model rather than data: below
-    DRIVER_FIT_THRESHOLD rows NPMI + Chinese Whispers run on the driver
-    through the sequential oracle's own formulas (wsid_ray.oracle
-    npmi_edges/induce), above it the distributed induce path runs
-    (tests/test_flagship.py::test_fit_paths_agree).
-
-    Gate ordering: the path decision comes from a distributed
-    ``counts.count()``; the driver collects counts only on the proven-small
-    branch.  The expand_cooc edge-map collect has the same guard and
-    raises above the threshold, where the broadcast expansion state would
-    not fit one scorer (stages/disambig.py scale note).
+    One Ray Data execution (the per-block count partials) feeds one
+    term-keyed shuffle whose reduces count, weigh and cluster
+    (stages/induce.fit_senses).  The driver collects only what the
+    reduces emit: the inventory, plus the pruned edges with
+    ``expand_cooc``, refused above ``EXPAND_STATE_MAX_ROWS`` from the
+    executed output's row count before any row is collected.
     """
-    from collections import Counter
-
-    from ..oracle import induce as oracle_induce
-    from ..oracle import npmi_edges as oracle_npmi
-    from ..stages.cooc import aggregate_counts, cooc_edges_from_counts
     from ..util import collect_rows
 
-    counts = aggregate_counts(mentions).materialize()
-    if counts.count() > DRIVER_FIT_THRESHOLD:
-        # distributed fit: the pinned counts feed both the NPMI weighting
-        # (for induce) and the expansion edge maps
-        edges = cooc_edges_from_counts(counts, cfg.cooc_min_count,
-                                       cfg.npmi_min)
-        edge_maps = None
-        if cfg.expand_cooc:
-            edges = edges.materialize()
-            if edges.count() > DRIVER_FIT_THRESHOLD:
-                raise ValueError(
-                    "expand_cooc: pruned NPMI edge table exceeds "
-                    f"DRIVER_FIT_THRESHOLD ({DRIVER_FIT_THRESHOLD}); shard "
-                    "inventories by hash(term) or raise npmi_min")
-            edge_maps = edge_maps_from_rows(collect_rows(edges))
-        return (collect_rows(induce_senses(edges, algo=cfg.induce_algo)),
-                edge_maps)
-    totals: Counter = Counter()
-    unis: Counter = Counter()
-    pairs: Counter = Counter()
-    for r in collect_rows(counts):
-        if r["v"] != "":
-            pairs[(r["term"], r["w"], r["v"])] = r["n"]
-        elif r["w"] != "":
-            unis[(r["term"], r["w"])] = r["n"]
+    model = fit_senses(mentions, cfg).materialize()
+    if cfg.expand_cooc and model.count() > EXPAND_STATE_MAX_ROWS:
+        raise ValueError(
+            "expand_cooc: the fit's inventory and pruned NPMI edges exceed "
+            f"EXPAND_STATE_MAX_ROWS ({EXPAND_STATE_MAX_ROWS}); shard "
+            "inventories by hash(term) or raise npmi_min")
+    inventory, edge_maps = [], {} if cfg.expand_cooc else None
+    for r in collect_rows(model):
+        if r["v"]:
+            edge_maps.setdefault(r["term"], {})[(r["w"], r["v"])] = \
+                r["weight"]
         else:
-            totals[r["term"]] = r["n"]
-    edges = oracle_npmi(totals, unis, pairs, cfg)
-    inventory = oracle_induce(edges, cfg)
-    out = []
-    for term in sorted(inventory):
-        for sense_id in sorted(inventory[term]):
-            for token, weight in sorted(inventory[term][sense_id].items(),
-                                        key=lambda kv: (-kv[1], kv[0])):
-                out.append({"term": term, "sense_id": sense_id,
-                            "token": token, "weight": weight})
-    edge_maps = {t: {(w, v): npmi for w, v, npmi in es}
-                 for t, es in edges.items()}
-    return out, edge_maps
+            inventory.append({"term": r["term"], "sense_id": r["sense_id"],
+                              "token": r["w"], "weight": r["weight"]})
+    inventory.sort(key=lambda r: (r["term"], r["sense_id"], -r["weight"],
+                                  r["token"]))
+    return inventory, edge_maps
 
 
 def edge_maps_from_rows(rows: list[dict]) -> dict:

@@ -162,27 +162,28 @@ def q_cooc_edges(sf_dir: str) -> rd.Dataset:
         batch_format="pyarrow")
 
 
-def q_sense_inventory_hyperlex(sf_dir: str) -> rd.Dataset:
-    """Sense induction via the HyperLex root-hub variant (Véronis 2004)
-    over the same distributed cooc path (rows-only: graph clustering is
-    not SQL-expressible; parity vs the sequential oracle is tested in
-    tests/test_cw.py)."""
-    from ..stages.induce import induce_senses
-    edges = q_cooc_edges(sf_dir)
-    inv = induce_senses(edges, algo="hyperlex")
-    return inv.map_batches(
-        lambda t: t.set_column(t.schema.get_field_index("weight"), "weight",
-                               pc.round(t["weight"], 6)),
-        batch_format="pyarrow")
-
-
-def q_sense_inventory(sf_dir: str) -> pd.DataFrame:
-    art = _flagship(sf_dir)
-    df = pd.DataFrame(art.sense_inventory_rows)
+def _inventory_frame(rows: list[dict]) -> pd.DataFrame:
+    df = pd.DataFrame(rows)
     if len(df):
         df["sense_id"] = df["sense_id"].astype("int32")
         df["weight"] = df["weight"].round(6)
     return df
+
+
+def q_sense_inventory_hyperlex(sf_dir: str) -> pd.DataFrame:
+    """Sense induction via the HyperLex root-hub variant (Véronis 2004)
+    through the engine's fit (``fit_model`` with ``induce_algo``)."""
+    from dataclasses import replace
+
+    from .flagship import detect_mentions, fit_model
+    cfg = replace(CFG, induce_algo="hyperlex")
+    turns = read_transcripts(sf_dir).map_batches(tokenize_batch,
+                                                 batch_format="pyarrow")
+    return _inventory_frame(fit_model(detect_mentions(turns, cfg), cfg)[0])
+
+
+def q_sense_inventory(sf_dir: str) -> pd.DataFrame:
+    return _inventory_frame(_flagship(sf_dir).sense_inventory_rows)
 
 
 def q_mentions_linked(sf_dir: str) -> rd.Dataset:

@@ -7,29 +7,30 @@ containing both.  pmi = ln(n_wv·N / (n_w·n_v)), npmi = pmi / −ln(n_wv/N),
 npmi ∈ [−1, 1].  Edges pruned at n_wv < cooc_min_count or npmi <= npmi_min.
 
 Distributed shape (SURVEY.md §2.5 G1/G2, ray_guide.md L154-158):
-**partial + final** — each ``map_batches`` call Counter-combines its batch
-locally and emits one row per key per batch, so the ``groupby`` shuffle
-(SHUFFLE 2, key=(term,w,v)) moves only partial counts, never windows.
-Window totals and window-unigram counts ride in the same shuffle encoded
-as (term, w, '') and (term, '', '') rows — one shuffle for all three
-count kinds.
+**partial + final** — each block's ``count_windows_batch`` call combines
+its windows locally and emits one row per key per block, so the shuffle
+moves only partial counts, never windows.  Window totals and
+window-unigram counts ride in the same rows encoded as (term, w, '') and
+(term, '', '') — one shuffle for all three count kinds.
 
-Scale note: the (term→N) and (term,w)→n_w lookup used by the NPMI stage is
-broadcast via ``ray.put`` because it is bounded by |gazetteer|×|vocab|
-(ray_guide.md L135-139).  With an unbounded vocabulary the same step is a
-hash-partitioned join of `pairs` with `unigrams` on (term, w).
+The shuffle is keyed on ``term`` alone (stages/groups.bucketed_group_apply),
+so each reduce holds every count of its terms: totals, unigrams and
+pairs.  NPMI is per term, so the reduce weighs its pairs with
+``npmi_pairs`` from its own rows — no broadcast, no join across buckets.
+``aggregate_counts`` stops after the sum, ``cooc_edges`` after NPMI, and
+the fit (stages/induce.fit_senses) goes on to Chinese Whispers in the
+same reduce.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
-
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data as rd
+
+from .groups import bucketed_group_apply
 
 
 def count_windows_batch(batch: pa.Table) -> pa.Table:
@@ -145,149 +146,77 @@ def count_windows_batch(batch: pa.Table) -> pa.Table:
     return pa.table({"term": term_col, "w": w_col, "v": v_col, "n": n_col})
 
 
-def aggregate_counts(mentions: rd.Dataset) -> rd.Dataset:
-    """mentions (term, win_tokens, ...) -> summed (term, w, v, n) counts.
 
-    Final combine uses the bucketed int-key shuffle (stages/groups.py):
-    measured 7.6x faster than Dataset.groupby on 3 string keys at 1M
-    partial rows (sort on one int32 vs lexicographic 3-string sort).
-    """
-    from .groups import bucketed_group_apply
 
+def window_partials(mentions: rd.Dataset) -> rd.Dataset:
+    """mentions -> one partial (term, w, v, n) table per block."""
     # no explicit batch_size: lets the partial-count map fuse with the
     # upstream ReadParquet->tokenize->detect chain (an explicit size
     # blocks read fusion and ships the decoded corpus through the object
     # store — pipelines/flagship.py detect_mentions note), and makes one
     # partial table per BLOCK instead of per 65k rows, shrinking the
     # shuffle input.
-    partials = mentions.select_columns(["term", "win_tokens"]).map_batches(
+    return mentions.select_columns(["term", "win_tokens"]).map_batches(
         count_windows_batch, batch_format="pyarrow")
 
-    def combine(df):
-        out = df.groupby(["term", "w", "v"], sort=False,
-                         as_index=False)["n"].sum()
-        out["n"] = out["n"].astype("int64")
-        return out
 
-    return bucketed_group_apply(partials, ["term", "w", "v"], combine)
-
-
-def split_counts(counts: rd.Dataset):
-    """counts -> (totals_dict {term: N}, unigrams_dict {(term,w): n}, pairs_ds).
-
-    totals/unigrams are small (bounded by |gazetteer|·|vocab|) → driver
-    dicts for broadcast; pairs stay a Dataset.
-    """
-    from ..util import collect_rows
-    small = collect_rows(counts.map_batches(
-        lambda t: t.filter(pc.equal(t["v"], "")),
-        batch_format="pyarrow"))
-    totals: dict[str, int] = {}
-    unigrams: dict[tuple[str, str], int] = {}
-    for r in small:
-        if r["w"] == "":
-            totals[r["term"]] = r["n"]
-        else:
-            unigrams[(r["term"], r["w"])] = r["n"]
-    pairs = counts.map_batches(
-        lambda t: t.filter(pc.not_equal(t["v"], "")),
-        batch_format="pyarrow")
-    return totals, unigrams, pairs
+def sum_counts(df: pd.DataFrame) -> pd.DataFrame:
+    """Partial (term, w, v, n) rows -> one summed row per key."""
+    out = df.groupby(["term", "w", "v"], sort=False, as_index=False)["n"].sum()
+    out["n"] = out["n"].astype("int64")
+    return out
 
 
-_BROADCAST_MEMO: dict[str, object] = {}
+def npmi_pairs(counts: pd.DataFrame, min_count: int,
+               npmi_min: float) -> pd.DataFrame:
+    """Summed counts of whole terms -> their pruned NPMI edges
+    (``EDGES_SCHEMA``), each with its term's window total ``N`` and the
+    window-unigram counts ``n_w`` and ``n_v``.  Every input of a term's
+    NPMI is one of that term's own rows, so a bucket that holds whole
+    terms computes it with nothing from outside the bucket."""
+    is_pair = counts["v"] != ""
+    pairs = counts.loc[is_pair & (counts["n"] >= min_count)]
+    single = counts.loc[~is_pair]
+    tot = single.loc[single["w"] == "", ["term", "n"]]
+    uni = single.loc[single["w"] != "", ["term", "w", "n"]]
+    e = (pairs.merge(tot.rename(columns={"n": "N"}), on="term")
+              .merge(uni.rename(columns={"n": "n_w"}), on=["term", "w"])
+              .merge(uni.rename(columns={"w": "v", "n": "n_v"}),
+                     on=["term", "v"]))
+    n = e["n"].to_numpy(np.float64)
+    N = e["N"].to_numpy(np.float64)
+    pmi = np.log(n * N / (e["n_w"].to_numpy(np.float64)
+                          * e["n_v"].to_numpy(np.float64)))
+    denom = -np.log(n / N)
+    # n_wv == N → denom 0 → define npmi = 1.0 (perfect co-occurrence)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        npmi = np.where(denom > 0, pmi / denom, 1.0)
+    e["pmi"] = pmi
+    e["npmi"] = npmi
+    return e.loc[npmi > npmi_min].reset_index(drop=True)
 
 
-def _cached_get(ref):
-    """Per-worker-process memo over ray.get — deserialise a broadcast dict
-    once per process, not once per batch (ray_guide.md L135-139)."""
-    key = ref.hex()
-    if key not in _BROADCAST_MEMO:
-        _BROADCAST_MEMO[key] = ray.get(ref)
-    return _BROADCAST_MEMO[key]
+EDGES_SCHEMA = pa.schema([("term", pa.string()), ("w", pa.string()),
+                          ("v", pa.string()), ("n", pa.int64()),
+                          ("pmi", pa.float64()), ("npmi", pa.float64())])
+COUNTS_SCHEMA = pa.schema([("term", pa.string()), ("w", pa.string()),
+                           ("v", pa.string()), ("n", pa.int64())])
 
 
-class NpmiWeighter:
-    """M5/M6: broadcast count dicts resolved once per worker process.
-
-    Runs as stateless tasks (the pruned pairs table is vocab-bounded and
-    small — an actor pool's startup latency would dominate its work);
-    the broadcast pattern is identical to an actor's ``__init__`` load.
-    """
-
-    def __init__(self, totals_ref, unigrams_ref, min_count: int,
-                 npmi_min: float):
-        self.totals = _cached_get(totals_ref)
-        self.unigrams = _cached_get(unigrams_ref)
-        self.min_count = min_count
-        self.npmi_min = npmi_min
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_edges()
-        terms = batch["term"].to_pylist()
-        ws = batch["w"].to_pylist()
-        vs = batch["v"].to_pylist()
-        n_wv = batch["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        N = np.array([self.totals[t] for t in terms], dtype=np.float64)
-        n_w = np.array([self.unigrams[(t, w)] for t, w in zip(terms, ws)],
-                       dtype=np.float64)
-        n_v = np.array([self.unigrams[(t, v)] for t, v in zip(terms, vs)],
-                       dtype=np.float64)
-        pmi = np.log(n_wv * N / (n_w * n_v))
-        denom = -np.log(n_wv / N)
-        # n_wv == N → denom 0 → define npmi = 1.0 (perfect co-occurrence)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            npmi = np.where(denom > 0, pmi / denom, 1.0)
-        out = pa.table({
-            "term": batch["term"],
-            "w": batch["w"],
-            "v": batch["v"],
-            "n": batch["n"],
-            "pmi": pa.array(pmi, type=pa.float64()),
-            "npmi": pa.array(npmi, type=pa.float64()),
-        })
-        keep = pc.and_(
-            pc.greater_equal(out["n"], self.min_count),
-            pc.greater(out["npmi"], self.npmi_min),
-        )
-        return out.filter(keep)
+def aggregate_counts(mentions: rd.Dataset) -> rd.Dataset:
+    """mentions (term, win_tokens, ...) -> summed (term, w, v, n) counts,
+    over the term-keyed shuffle the fit uses."""
+    return bucketed_group_apply(window_partials(mentions), ["term"],
+                                sum_counts, out_schema=COUNTS_SCHEMA)
 
 
-def _empty_edges() -> pa.Table:
-    return pa.table({
-        "term": pa.array([], type=pa.string()),
-        "w": pa.array([], type=pa.string()),
-        "v": pa.array([], type=pa.string()),
-        "n": pa.array([], type=pa.int64()),
-        "pmi": pa.array([], type=pa.float64()),
-        "npmi": pa.array([], type=pa.float64()),
-    })
+def cooc_edges(mentions: rd.Dataset, min_count: int,
+               npmi_min: float) -> rd.Dataset:
+    """mentions -> pruned (term, w, v, n, pmi, npmi) edges: each reduce
+    of the term-keyed shuffle sums its terms' counts and weighs them."""
+    def edges(df: pd.DataFrame) -> pd.DataFrame:
+        return npmi_pairs(sum_counts(df), min_count,
+                          npmi_min)[EDGES_SCHEMA.names]
 
-
-def cooc_edges(mentions: rd.Dataset, min_count: int, npmi_min: float) -> rd.Dataset:
-    """mentions -> pruned cooc_edges dataset (SHUFFLE 2 inside)."""
-    # materialize() pins only the aggregated counts (vocab-bounded, tiny
-    # relative to the input) so the two downstream consumers in
-    # split_counts don't re-run the counting shuffle.
-    counts = aggregate_counts(mentions).materialize()
-    return cooc_edges_from_counts(counts, min_count, npmi_min)
-
-
-def cooc_edges_from_counts(counts: rd.Dataset, min_count: int,
-                           npmi_min: float) -> rd.Dataset:
-    """Already-aggregated (term, w, v, n) counts -> pruned NPMI edges.
-
-    Split out of cooc_edges so callers that already hold the materialized
-    counts (pipelines/flagship.fit_model decides its driver-vs-distributed
-    path from a distributed count of this table) reuse it instead of
-    re-running the corpus-scale counting shuffle."""
-    totals, unigrams, pairs = split_counts(counts)
-    totals_ref = ray.put(totals)
-    unigrams_ref = ray.put(unigrams)
-    def weigh(batch: pa.Table) -> pa.Table:
-        w = NpmiWeighter(totals_ref, unigrams_ref, min_count, npmi_min)
-        return w(batch)
-
-    return pairs.map_batches(weigh, batch_format="pyarrow",
-                             batch_size=65536)
+    return bucketed_group_apply(window_partials(mentions), ["term"], edges,
+                                out_schema=EDGES_SCHEMA)

@@ -1,65 +1,76 @@
-"""G4/§2.5 — per-term sense induction (SHUFFLE 3, key=term).
+"""G4/§2.5 — the fit: count → NPMI → sense induction in the reduce of one
+term-keyed shuffle.
 
-``cooc_edges.groupby("term").map_groups(induce_group)``: each group is one
-term's pruned NPMI graph (vocab-bounded, small by construction — the
-corpus-scale work already collapsed into counts), clustered with the
-deterministic Chinese Whispers in wsid_ray.cw, emitted long-form as
-(term, sense_id, token, weight) rows.
+``fit_senses`` sends the per-block count partials (stages/cooc.py)
+through one shuffle keyed on ``term``.  Each reduce sums its terms'
+counts, weighs and prunes their pairs (``cooc.npmi_pairs``, from the
+bucket's own totals and unigrams), and clusters each term's NPMI graph
+with the deterministic Chinese Whispers (or HyperLex) of wsid_ray.cw.
+It emits one long table: the sense inventory rows (term, sense_id,
+w = token, v = '', weight), plus the pruned edges (term, -1, w, v,
+weight = npmi) when ``expand_cooc`` is on, the way
+``count_windows_batch`` carries three count kinds in one table.
 
-Partitioning assumption: all edges of a term land in one group — guaranteed
-by the groupby shuffle.  Terms are the parallelism unit here; with a large
-gazetteer this stage scales out per term, and a single pathological term
-graph is still vocab²-bounded, not corpus-bounded.
+Partitioning assumption: all rows of a term land in one bucket —
+guaranteed by the hash shuffle.  Terms are the parallelism unit here;
+with a large gazetteer this stage scales out per term, and a single
+term's graph is vocab²-bounded, not corpus-bounded (one hot term still
+fills a whole reduce).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
-from ..config import SENSE_TOP_K
-from ..cw import cluster_graph, sense_vectors
+from ..config import PipelineConfig
+from ..cw import cluster_graph, quantize_weight, sense_vectors
+from .cooc import npmi_pairs, sum_counts, window_partials
+from .groups import bucketed_group_apply
+
+FIT_SCHEMA = pa.schema([("term", pa.string()), ("sense_id", pa.int32()),
+                        ("w", pa.string()), ("v", pa.string()),
+                        ("weight", pa.float64())])
 
 
-def induce_group(g: pd.DataFrame, top_k: int = SENSE_TOP_K,
-                 algo: str = "cw") -> pd.DataFrame:
-    term = g["term"].iloc[0]
+def _term_graph(g: pd.DataFrame):
+    """One term's pruned edges -> (term, sorted nodes, [(w, v, npmi)])."""
     edges = list(zip(g["w"], g["v"], g["npmi"].astype(float)))
-    nodes = sorted(set(g["w"]) | set(g["v"]))
-    if not nodes:
-        return pd.DataFrame(columns=["term", "sense_id", "token", "weight"])
-    cluster_of = cluster_graph(nodes, edges, seed_key=term, algo=algo)
+    return g["term"].iloc[0], sorted(set(g["w"]) | set(g["v"])), edges
+
+
+def induce_group(g: pd.DataFrame, top_k: int, algo: str,
+                 iterations: int) -> list[tuple]:
+    """One term's pruned edges -> (term, sense_id, token, weight) rows,
+    by sense_id, then weight desc, then token."""
+    term, nodes, edges = _term_graph(g)
+    cluster_of = cluster_graph(nodes, edges, seed_key=term, algo=algo,
+                               iterations=iterations)
     vecs = sense_vectors(cluster_of, edges, top_k=top_k)
-    rows = []
-    for sense_id in sorted(vecs):
-        for token, weight in sorted(vecs[sense_id].items(),
-                                    key=lambda kv: (-kv[1], kv[0])):
-            rows.append((term, sense_id, token, weight))
-    out = pd.DataFrame(rows, columns=["term", "sense_id", "token", "weight"])
-    out["sense_id"] = out["sense_id"].astype("int32")
-    out["weight"] = out["weight"].astype("float64")
-    return out
+    return [(term, sense_id, token, weight)
+            for sense_id in sorted(vecs)
+            for token, weight in sorted(vecs[sense_id].items(),
+                                        key=lambda kv: (-kv[1], kv[0]))]
 
 
-def induce_senses(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:
-    """cooc_edges -> sense_inventory (term, sense_id, token, weight).
+def fit_senses(mentions: rd.Dataset, cfg: PipelineConfig) -> rd.Dataset:
+    """mentions -> the fit's long table (``FIT_SCHEMA``, module
+    docstring): one term-keyed shuffle over the count partials."""
+    def fit_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        edges = npmi_pairs(sum_counts(df), cfg.cooc_min_count, cfg.npmi_min)
+        rows = [(t, s, tok, "", x)
+                for _, g in edges.groupby("term", sort=True)
+                for t, s, tok, x in induce_group(
+                    g, cfg.sense_top_k, cfg.induce_algo, cfg.cw_iterations)]
+        if cfg.expand_cooc:
+            rows += zip(edges["term"], [-1] * len(edges), edges["w"],
+                        edges["v"], edges["npmi"])
+        return pd.DataFrame(rows, columns=FIT_SCHEMA.names)
 
-    Bucketed shuffle keyed hash(term): all edges of a term land in one
-    bucket; the per-bucket fn loops over its terms (cheap — each term
-    graph is vocab-bounded)."""
-    import pandas as pd
-
-    from .groups import bucketed_group_apply
-
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [induce_group(g, algo=algo)
-                for _, g in df.groupby("term", sort=True)]
-        if not outs:
-            return pd.DataFrame(columns=["term", "sense_id", "token",
-                                         "weight"])
-        return pd.concat(outs, ignore_index=True)
-
-    return bucketed_group_apply(edges, ["term"], per_bucket)
+    return bucketed_group_apply(window_partials(mentions), ["term"],
+                                fit_bucket, out_schema=FIT_SCHEMA)
 
 
 def sense_modularity(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:
@@ -70,19 +81,12 @@ def sense_modularity(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:
     Q·4m² = Σ_c (4m·e_c − d_c²) is a pure integer identity; the only
     float is the final division, 6 dp half-up.
 
-    Same partitioning as induce_senses (all of a term's edges in one
+    Same partitioning as fit_senses (all of a term's edges in one
     bucket, term graphs vocab-bounded); labels come from the identical
     cluster_graph call, so this metric scores exactly the shipped
     inventory's partition."""
-    from ..cw import cluster_graph, quantize_weight
-    from .groups import bucketed_group_apply
-
     def per_term(g: pd.DataFrame) -> list:
-        term = g["term"].iloc[0]
-        e = list(zip(g["w"], g["v"], g["npmi"].astype(float)))
-        nodes = sorted(set(g["w"]) | set(g["v"]))
-        if not nodes:
-            return []
+        term, nodes, e = _term_graph(g)
         lab = cluster_graph(nodes, e, seed_key=term, algo=algo)
         m = 0
         e_c: dict[int, int] = {}
@@ -99,7 +103,6 @@ def sense_modularity(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:
             return []
         qnum = sum(4 * m * e_c.get(c, 0) - d * d
                    for c, d in d_c.items())
-        import numpy as np
         q6 = float(np.floor(float(qnum) / float(4 * m * m) * 1e6
                             + 0.5) / 1e6)
         return [(term, len(nodes), len(set(lab.values())), m, q6)]
@@ -113,7 +116,6 @@ def sense_modularity(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:
         return out.astype({"n_nodes": "int64", "n_senses": "int64",
                            "m_micro": "int64", "q6": "float64"})
 
-    import pyarrow as pa
     out_schema = pa.schema([("term", pa.string()),
                             ("n_nodes", pa.int64()),
                             ("n_senses", pa.int64()),

@@ -23,8 +23,9 @@ def collect_table(ds) -> pa.Table:
     milliseconds.  Use ONLY for vocab-bounded / aggregated results.
     """
     import ray
-    refs = ds.to_arrow_refs()
-    tables = [t for t in ray.get(refs) if t.num_rows]
+
+    from .stages.groups import _arrow_blocks
+    tables = [t for t in ray.get(_arrow_blocks(ds)[0]) if t.num_rows]
     if not tables:
         return None
     names = tables[0].schema.names
@@ -44,11 +45,15 @@ def compact_blocks(ds) -> "object":
     emits SCHEMA-LESS empty blocks, flapping downstream schema tracking —
     so pinned intermediates that fan out into further maps go through
     this instead of bare ``materialize()`` (one tiny metadata task per
-    block; keeps one block when all are empty)."""
+    block; keeps one block when all are empty).
+
+    The refs come from ``_arrow_blocks``, one execution of ``ds``:
+    ``Dataset.to_arrow_refs()`` would run the plan a second time under
+    ``limit(1)`` to fetch the schema, re-reading input files."""
     import ray.data as rd
 
-    from .stages.groups import drop_empty_refs
-    return rd.from_arrow_refs(drop_empty_refs(ds.to_arrow_refs()))
+    from .stages.groups import _arrow_blocks, drop_empty_refs
+    return rd.from_arrow_refs(drop_empty_refs(_arrow_blocks(ds)[0]))
 
 
 def stable_hash64(value: str | bytes) -> int:
