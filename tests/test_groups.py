@@ -93,6 +93,40 @@ def test_bucket_count_derived_from_input(monkeypatch):
     pd.testing.assert_frame_equal(got, expected_sum(t), check_dtype=False)
 
 
+def test_compact_blocks_drops_empty_blocks_without_tasks(monkeypatch):
+    """compact_blocks drops empty blocks using the row counts in the block
+    metadata of its one execution: no per-block row-count task runs.  An
+    all-empty input keeps one typed block."""
+    import ray
+
+    from wsid_ray.stages import groups
+    from wsid_ray.util import compact_blocks
+
+    launches = []
+    real = groups._num_rows
+
+    class Spy:
+        def remote(self, *a):
+            launches.append(a)
+            return real.remote(*a)
+
+    monkeypatch.setattr(groups, "_num_rows", Spy())
+    t = pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]})
+    empty = t.slice(0, 0)
+    for tables, n_rows in (([empty, t.slice(0, 2), empty, t.slice(2)], 3),
+                           ([empty, empty, empty], 0)):
+        out = compact_blocks(rd.from_arrow_refs([ray.put(x) for x in tables]))
+        blocks = ray.get(out.to_arrow_refs())
+        assert sum(b.num_rows for b in blocks) == n_rows
+        assert all(b.schema == t.schema for b in blocks)
+        if n_rows:
+            assert all(b.num_rows for b in blocks)
+            assert pa.concat_tables(blocks).sort_by("k").equals(t)
+        else:
+            assert len(blocks) == 1
+    assert launches == []
+
+
 def test_distinct():
     ds = rd.from_arrow(pa.table({
         "a": ["x", "x", "y", "y", "x"],

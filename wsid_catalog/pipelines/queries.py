@@ -4540,65 +4540,38 @@ def q_term_branching_entropy(sf_dir: str) -> "pa.Table":
     (term, side, neighbour) partials, one bucketed count fold, then a
     gazetteer-bounded entropy finish."""
     from wsid_ray.stages.groups import bucketed_group_apply, bucketed_sum
-    from wsid_ray.util import collect_rows
+    from wsid_ray.stages.mentions import GazetteerMatcher
+    from wsid_ray.util import list_row_indices
 
-    singles = sorted(g for g in GAZETTEER if " " not in g)
-    multis = [(g, g.split()) for g in sorted(GAZETTEER) if " " in g]
-
+    matcher = GazetteerMatcher(GAZETTEER)
     turns = read_transcripts(sf_dir).map_batches(tokenize_batch,
                                                  batch_format="pyarrow")
 
-    def nb_part(t: pa.Table) -> pd.DataFrame:
+    def nb_part(t: pa.Table) -> pa.Table:
         toks = t["tokens"].combine_chunks()
+        flat = toks.flatten()
+        start, m, term = matcher.match(toks)
         lens = pc.list_value_length(toks).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        flat = np.asarray(toks.flatten().to_pylist(), dtype=object)
-        if not len(flat):
-            return pd.DataFrame({
-                "term": pd.Series(dtype=object),
-                "side": pd.Series(dtype=object),
-                "nb": pd.Series(dtype=object),
-                "c": pd.Series(dtype="int64")})
-        starts = np.concatenate(([0], np.cumsum(lens)))[:-1]
-        row_of = np.repeat(np.arange(len(lens)), lens)
-        p_in_row = np.arange(len(flat)) - starts[row_of]
-        rows = {"term": [], "side": [], "nb": []}
-
-        def emit(hit_idx: np.ndarray, term_of, m: int) -> None:
-            # left neighbour: token before span start, same row
-            lmask = p_in_row[hit_idx] > 0
-            li = hit_idx[lmask]
-            rows["term"].extend(term_of(li))
-            rows["side"].extend(["left"] * len(li))
-            rows["nb"].extend(flat[li - 1])
-            # right neighbour: token after span end, same row
-            rmask = (p_in_row[hit_idx] + m) \
-                < lens[row_of[hit_idx]]
-            ri = hit_idx[rmask]
-            rows["term"].extend(term_of(ri))
-            rows["side"].extend(["right"] * len(ri))
-            rows["nb"].extend(flat[ri + m])
-
-        s_idx = np.nonzero(np.isin(flat, singles))[0]
-        if len(s_idx):
-            emit(s_idx, lambda ix: flat[ix], 1)
-        for g, seq in multis:
-            m = len(seq)
-            cand = np.nonzero(flat == seq[0])[0]
-            cand = cand[cand + m - 1 < len(flat)]
-            cand = cand[row_of[cand] == row_of[
-                np.minimum(cand + m - 1, len(flat) - 1)]]
-            for j in range(1, m):
-                cand = cand[flat[cand + j] == seq[j]]
-            if len(cand):
-                emit(cand, lambda ix: [g] * len(ix), m)
-
-        g = pd.DataFrame(rows)
-        if not len(g):
-            g = pd.DataFrame({"term": [], "side": [], "nb": []})
-        out = g.groupby(["term", "side", "nb"], as_index=False) \
-            .size().rename(columns={"size": "c"})
-        return out.astype({"c": "int64"})
+        first = np.concatenate(([0], np.cumsum(lens)))  # row offsets
+        row = list_row_indices(toks)[start]
+        # left neighbour: token before span start, same row; right
+        # neighbour: token after span end, same row
+        left = start > first[row]
+        right = start + m < first[row + 1]
+        nbs = pa.table({
+            "term": matcher.terms.take(pa.array(
+                np.concatenate((term[left], term[right])))),
+            "side": pa.array(["left"] * int(left.sum())
+                             + ["right"] * int(right.sum()),
+                             type=pa.string()),
+            "nb": flat.take(pa.array(np.concatenate(
+                (start[left] - 1, (start + m)[right])))),
+        })
+        out = nbs.group_by(["term", "side", "nb"]).aggregate(
+            [("term", "count")])
+        return out.select(["term", "side", "nb", "term_count"]) \
+            .rename_columns(["term", "side", "nb", "c"])
 
     bc = bucketed_sum(
         turns.map_batches(nb_part, batch_format="pyarrow"),

@@ -20,8 +20,8 @@ from ..config import DEFAULT_CONFIG, GAZETTEER, PRED_ADDRESSES
 from ..sources.transcripts import read_transcripts
 from ..stages.convgroup import conv_digest
 from ..stages.groups import bucketed_group_apply, bucketed_sum, partial_count
+from ..stages.mentions import GazetteerMatcher
 from ..stages.tokenize import tokenize_batch, tokenize_column
-from ..util import list_row_indices
 from .flagship import run_flagship
 
 CFG = DEFAULT_CONFIG
@@ -56,71 +56,33 @@ def q_role_counts(sf_dir: str) -> rd.Dataset:
     return partial_count(read_transcripts(sf_dir, columns=["role"]), ["role"])
 
 
-def _count_table(counted: pa.Table, out_key: str) -> pa.Table:
-    # rename by NAME, not position: pyarrow's aggregate-column order is
-    # version-dependent (ADVICE r01)
-    cnt = f"{out_key}_count"
-    return pa.table({out_key: counted[out_key], "n": counted[cnt]})
-
-
-def _token_count(ds: rd.Dataset, gazetteer_only: bool,
-                 out_key: str) -> rd.Dataset:
-    single = pa.array(sorted(g for g in GAZETTEER if " " not in g),
-                      type=pa.string())
-    multi = sorted((tuple(g.split()), g) for g in GAZETTEER if " " in g)
-
-    def partial(t: pa.Table) -> pa.Table:
-        toks = tokenize_column(t["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
-        flat = toks.flatten()
-        if not gazetteer_only:
-            counted = pa.table({out_key: flat}).group_by(out_key).aggregate(
-                [(out_key, "count")])
-            return _count_table(counted, out_key)
-        hits = flat.filter(pc.is_in(flat, value_set=single))
-        counted = _count_table(
-            pa.table({out_key: hits}).group_by(out_key).aggregate(
-                [(out_key, "count")]), out_key)
-        # multi-word terms: positional sequence match (same rule as the
-        # mention detector — overlaps allowed, no cross-turn sequences)
-        n_flat = len(flat)
-        row_of = list_row_indices(toks)
-        extra_terms: list[str] = []
-        extra_n: list[int] = []
-        for seq, term_str in multi:
-            m = len(seq)
-            if n_flat < m:
-                continue
-            mask = pc.equal(flat, seq[0]).to_numpy(
-                zero_copy_only=False).astype(bool)[:n_flat - m + 1]
-            for j in range(1, m):
-                nxt = pc.equal(flat, seq[j]).to_numpy(
-                    zero_copy_only=False).astype(bool)
-                mask &= nxt[j:j + n_flat - m + 1]
-            p = np.nonzero(mask)[0]
-            p = p[row_of[p] == row_of[p + m - 1]]
-            if len(p):
-                extra_terms.append(term_str)
-                extra_n.append(len(p))
-        if extra_terms:
-            counted = pa.concat_tables([counted, pa.table({
-                out_key: pa.array(extra_terms, type=pa.string()),
-                "n": pa.array(extra_n, type=pa.int64())})])
-        return counted
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return bucketed_sum(partials, [out_key], ["n"])
-
-
 def q_unigram_counts(sf_dir: str) -> rd.Dataset:
-    return _token_count(read_transcripts(sf_dir, columns=["text"]),
-                        gazetteer_only=False, out_key="token")
+    def partial(t: pa.Table) -> pa.Table:
+        counted = pa.table({"token": tokenize_column(t["text"]).flatten()}) \
+            .group_by("token").aggregate([("token", "count")])
+        # select by NAME, not position: pyarrow's aggregate-column order
+        # is version-dependent
+        return pa.table({"token": counted["token"],
+                         "n": counted["token_count"]})
+
+    partials = read_transcripts(sf_dir, columns=["text"]).map_batches(
+        partial, batch_format="pyarrow")
+    return bucketed_sum(partials, ["token"], ["n"])
 
 
 def q_mention_counts(sf_dir: str) -> rd.Dataset:
-    return _token_count(read_transcripts(sf_dir, columns=["text"]),
-                        gazetteer_only=True, out_key="term")
+    matcher = GazetteerMatcher(GAZETTEER)
+
+    def partial(t: pa.Table) -> pa.Table:
+        n = np.bincount(matcher.match(tokenize_column(t["text"]))[2],
+                        minlength=len(matcher.terms))
+        hit = np.nonzero(n)[0]
+        return pa.table({"term": matcher.terms.take(pa.array(hit)),
+                         "n": pa.array(n[hit], type=pa.int64())})
+
+    partials = read_transcripts(sf_dir, columns=["text"]).map_batches(
+        partial, batch_format="pyarrow")
+    return bucketed_sum(partials, ["term"], ["n"])
 
 
 def q_conv_text_digest(sf_dir: str) -> rd.Dataset:

@@ -29,6 +29,7 @@ import ray
 import ray.data as rd
 
 from ..config import MIN_LINK_SCORE, kb_candidates
+from ..util import ragged_ranges
 
 
 def build_link_map(inventory: dict[str, dict[int, dict[str, float]]]
@@ -178,10 +179,7 @@ class SenseDisambiguator:
                 mi = midx[valid]
                 p = pos[valid]
                 cnt = self.inv_counts[p]
-                total = int(cnt.sum())
-                cat = np.repeat(self.inv_starts[p], cnt)
-                resets = np.repeat(np.cumsum(cnt) - cnt, cnt)
-                idx = cat + (np.arange(total) - resets)
+                idx = ragged_ranges(self.inv_starts[p], cnt)
                 S = self.n_senses
                 key2 = np.repeat(mi, cnt) * S + self.inv_sid[idx]
                 uk, inv_idx = np.unique(key2, return_inverse=True)

@@ -112,16 +112,16 @@ def _to_arrow(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
-def _arrow_blocks(ds: rd.Dataset) -> tuple[list, int]:
+def _arrow_blocks(ds: rd.Dataset) -> tuple[list, list[int]]:
     """Execute ``ds`` once: its blocks as Arrow table refs (as
-    ``to_arrow_refs`` returns them) and their total row count, read from
+    ``to_arrow_refs`` returns them) and each block's row count, read from
     the block metadata of that execution."""
-    refs, rows = [], 0
+    refs, rows = [], []
     for bundle in ds.iter_internal_ref_bundles():
         arrow = isinstance(bundle.schema, pa.Schema)
         for ref, meta in bundle.blocks:
             refs.append(ref if arrow else _to_arrow.remote(ref))
-            rows += meta.num_rows
+            rows.append(meta.num_rows)
     return refs, rows
 
 
@@ -215,7 +215,7 @@ def bucketed_group_apply(
     buckets emit exactly this schema (no dtype guessing) and non-empty
     outputs are cast to it, keeping the block stream schema-stable."""
     blocks, rows = _arrow_blocks(ds)
-    B = num_buckets or max(1, -(-rows // ROWS_PER_BUCKET))
+    B = num_buckets or max(1, -(-sum(rows) // ROWS_PER_BUCKET))
     if impl in (None, "tasks") and blocks and \
             len(blocks) * B <= _TASKS_MAX_REFS:
         # the measured-faster default (module docstring)

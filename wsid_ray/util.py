@@ -44,16 +44,19 @@ def compact_blocks(ds) -> "object":
     Ray's streaming executor skips map UDFs on empty input blocks and
     emits SCHEMA-LESS empty blocks, flapping downstream schema tracking —
     so pinned intermediates that fan out into further maps go through
-    this instead of bare ``materialize()`` (one tiny metadata task per
-    block; keeps one block when all are empty).
+    this instead of bare ``materialize()`` (keeps one block when all are
+    empty).
 
-    The refs come from ``_arrow_blocks``, one execution of ``ds``:
-    ``Dataset.to_arrow_refs()`` would run the plan a second time under
-    ``limit(1)`` to fetch the schema, re-reading input files."""
+    The refs and their row counts come from ``_arrow_blocks``, one
+    execution of ``ds``: ``Dataset.to_arrow_refs()`` would run the plan
+    a second time under ``limit(1)`` to fetch the schema, re-reading
+    input files."""
     import ray.data as rd
 
-    from .stages.groups import _arrow_blocks, drop_empty_refs
-    return rd.from_arrow_refs(drop_empty_refs(_arrow_blocks(ds)[0]))
+    from .stages.groups import _arrow_blocks
+    refs, rows = _arrow_blocks(ds)
+    keep = [r for r, n in zip(refs, rows) if n]
+    return rd.from_arrow_refs(keep or refs[:1])
 
 
 def stable_hash64(value: str | bytes) -> int:
@@ -103,6 +106,13 @@ def filter_list_array(list_arr: pa.Array, keep_mask: pa.Array | np.ndarray) -> p
     new_values = flat.filter(pa.array(mask_np))
     return pa.ListArray.from_arrays(pa.array(new_offsets, type=pa.int32()),
                                     new_values)
+
+
+def ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The index ranges ``[starts[i], starts[i] + lens[i])`` concatenated
+    in order (repeat + cumsum, no Python loop)."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) \
+        + np.arange(int(lens.sum()))
 
 
 def list_row_indices(list_arr: pa.Array) -> np.ndarray:
