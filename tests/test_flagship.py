@@ -141,7 +141,7 @@ def test_fit_gate_expand_cooc_guard(monkeypatch):
 
 
 def test_cooc_expansion_mode_matches_oracle():
-    """A2 with co-occurrence matrices in actor state (expand_cooc):
+    """A2 with co-occurrence matrices in scorer state (expand_cooc):
     engine == oracle on mentions and triples."""
     from wsid_ray.config import PipelineConfig
     from wsid_ray.pipelines.flagship import run_flagship
@@ -171,3 +171,22 @@ def test_text_equality_invariant():
     assert d_raw == d_cooked
     assert len(d_raw) == 8  # tiny has 8 conversations
 
+
+def test_checkpointed_builds_scorer_once_on_driver(tmp_path, monkeypatch):
+    """run_checkpointed links shard by shard (4 shards at sf0.001) with one
+    scorer: built once, on the driver, and only read by the map tasks."""
+    import os
+
+    from wsid_ray.pipelines.checkpointed import run_checkpointed
+    from wsid_ray.stages.disambig import SenseDisambiguator
+
+    built = []
+    real_init = SenseDisambiguator.__init__
+
+    def spy_init(self, *a, **kw):
+        built.append(os.getpid())
+        real_init(self, *a, **kw)
+
+    monkeypatch.setattr(SenseDisambiguator, "__init__", spy_init)
+    run_checkpointed("sf0.001", str(tmp_path), shard_files=1)
+    assert built == [os.getpid()]

@@ -10,6 +10,8 @@ so the contract is pinned here against the actual executed plan.
 
 import re
 
+import pytest
+
 from wsid_ray.config import DEFAULT_CONFIG as CFG
 from wsid_ray.pipelines.flagship import detect_mentions
 from wsid_ray.sources.transcripts import read_transcripts
@@ -31,13 +33,17 @@ def test_corpus_pass_fuses_read_into_maps():
     assert "MapBatches(detect_batch)" in fused[0], fused
 
 
-def test_scored_pass_fuses_end_to_end():
+@pytest.mark.parametrize("n_rows", [1, 250_000])
+def test_scored_pass_fuses_end_to_end(n_rows):
+    """The scorer runs as stateless tasks fused into the read chain at
+    every inventory size, 250k state rows included."""
     import ray
 
     from wsid_ray.stages.disambig import disambiguate, inventory_from_rows
 
-    rows = [{"term": "apple", "sense_id": 0, "token": "fruit",
-             "weight": 1.0}]
+    rows = [{"term": "apple", "sense_id": 0,
+             "token": f"fruit{i}" if i else "fruit", "weight": 1.0}
+            for i in range(n_rows)]
     inv_ref = ray.put(inventory_from_rows(rows))
     turns = read_transcripts("sf0.001").map_batches(
         tokenize_batch, batch_format="pyarrow")

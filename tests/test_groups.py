@@ -1,10 +1,9 @@
-"""Bucketed shuffle engines (stages/groups.py): both impls agree and
-preserve per-key colocation."""
+"""Bucketed shuffle engine (stages/groups.py): per-key colocation and
+sums that match pandas."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 import ray.data as rd
 
 from wsid_ray.stages.groups import bucketed_group_apply, distinct
@@ -25,29 +24,25 @@ def expected_sum(t):
              .reset_index(drop=True)
 
 
-@pytest.mark.parametrize("impl", ["tasks", "sort"])
-def test_bucketed_sum_matches_pandas(impl):
+def test_bucketed_sum_matches_pandas():
     ds, t = make_ds()
 
     def comb(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("k", sort=False, as_index=False)["v"].sum()
 
-    out = bucketed_group_apply(ds, ["k"], comb, num_buckets=16,
-                               impl=impl).to_pandas()
+    out = bucketed_group_apply(ds, ["k"], comb, num_buckets=16).to_pandas()
     out = out.sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(out, expected_sum(t), check_dtype=False)
 
 
-@pytest.mark.parametrize("impl", ["tasks", "sort"])
-def test_empty_buckets_ok(impl):
+def test_empty_buckets_ok():
     # fewer keys than buckets -> some buckets are empty
     ds = rd.from_arrow(pa.table({"k": ["a", "a", "b"], "v": [1, 2, 3]}))
 
     def comb(df):
         return df.groupby("k", sort=False, as_index=False)["v"].sum()
 
-    out = bucketed_group_apply(ds, ["k"], comb, num_buckets=16,
-                               impl=impl).to_pandas()
+    out = bucketed_group_apply(ds, ["k"], comb, num_buckets=16).to_pandas()
     assert sorted(map(tuple, out.itertuples(index=False))) == [
         ("a", 3), ("b", 3)]
 
@@ -66,8 +61,7 @@ def test_all_empty_input_typed_by_build_probe():
         out["n"] = out["v"].astype("int64")
         return out
 
-    out = bucketed_group_apply(ds, ["k"], comb, num_buckets=4,
-                               impl="tasks")
+    out = bucketed_group_apply(ds, ["k"], comb, num_buckets=4)
     sch = out.schema()
     assert sch.names == ["k", "v", "n"]
     assert [str(t) for t in sch.types] == ["string", "int64", "int64"]
@@ -91,6 +85,44 @@ def test_bucket_count_derived_from_input(monkeypatch):
     assert len(out.to_arrow_refs()) > 1
     got = out.to_pandas().sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(got, expected_sum(t), check_dtype=False)
+
+
+def test_split_inputs_coalesce_under_ref_cap(monkeypatch):
+    """Past the slice-ref bound the split tasks each take a run of
+    consecutive blocks, so the driver holds at most _TASKS_MAX_REFS slice
+    refs; no Ray Data groupby runs, and the sums are unchanged."""
+    from wsid_ray.stages import groups
+
+    B = 4
+    launches = []
+    real = groups._split_block
+
+    class Spy:
+        def options(self, **kw):
+            launched = real.options(**kw)
+
+            class Launch:
+                def remote(self, *a):
+                    launches.append(kw["num_returns"])
+                    return launched.remote(*a)
+            return Launch()
+
+    def no_groupby(*a, **kw):
+        raise AssertionError("Ray Data groupby ran")
+
+    def comb(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby("k", sort=False, as_index=False)["v"].sum()
+
+    monkeypatch.setattr(groups, "_TASKS_MAX_REFS", 10)
+    monkeypatch.setattr(groups, "_split_block", Spy())
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
+    ds, t = make_ds(blocks=8)
+    assert 8 * B > groups._TASKS_MAX_REFS
+    out = bucketed_group_apply(ds, ["k"], comb, num_buckets=B).to_pandas()
+    got = out.sort_values("k").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, expected_sum(t), check_dtype=False)
+    assert launches and all(r == B for r in launches)
+    assert len(launches) * B <= groups._TASKS_MAX_REFS
 
 
 def test_compact_blocks_drops_empty_blocks_without_tasks(monkeypatch):

@@ -84,9 +84,9 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
     B = num_buckets
     lrefs = left.to_arrow_refs()
     rrefs = right.to_arrow_refs()
-    lsplit = [_split_block.options(num_returns=B).remote(b, on, B)
+    lsplit = [_split_block.options(num_returns=B).remote(on, B, b)
               for b in lrefs]
-    rsplit = [_split_block.options(num_returns=B).remote(b, on, B)
+    rsplit = [_split_block.options(num_returns=B).remote(on, B, b)
               for b in rrefs]
     if B == 1:  # num_returns=1 yields a bare ref, not a 1-tuple
         lsplit = [[r] for r in lsplit]
@@ -167,9 +167,9 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, *,
     B = num_buckets
     lrefs = left.to_arrow_refs()
     rrefs = right.to_arrow_refs()
-    lsplit = [_split_block.options(num_returns=B).remote(b, [by_left], B)
+    lsplit = [_split_block.options(num_returns=B).remote([by_left], B, b)
               for b in lrefs]
-    rsplit = [_split_block.options(num_returns=B).remote(b, [by_right], B)
+    rsplit = [_split_block.options(num_returns=B).remote([by_right], B, b)
               for b in rrefs]
     if B == 1:  # num_returns=1 yields a bare ref, not a 1-tuple
         lsplit = [[r] for r in lsplit]
@@ -219,9 +219,9 @@ def bucketed_pair_apply(left: rd.Dataset, right: rd.Dataset, *,
     upstream if a key alone exceeds a task's memory.  ``out_schema`` is
     required so empty buckets emit typed blocks (schema-stable stream)."""
     B = num_buckets
-    lsplit = [_split_block.options(num_returns=B).remote(b, list(on_left), B)
+    lsplit = [_split_block.options(num_returns=B).remote(list(on_left), B, b)
               for b in left.to_arrow_refs()]
-    rsplit = [_split_block.options(num_returns=B).remote(b, list(on_right), B)
+    rsplit = [_split_block.options(num_returns=B).remote(list(on_right), B, b)
               for b in right.to_arrow_refs()]
     if B == 1:  # num_returns=1 yields a bare ref, not a 1-tuple
         lsplit = [[r] for r in lsplit]

@@ -10,10 +10,12 @@ triple-extraction pipeline over conversation transcripts, per
 Architecture (SURVEY.md §2-§4):
   - every logical table is a ``ray.data.Dataset`` whose blocks are Arrow
     tables; transforms are ``map_batches(batch_format="pyarrow")``;
-  - stateful stages (mention detection automata, sense inventories) are
-    actor pools; small sides are broadcast via ``ray.put``;
-  - wide steps are explicit ``groupby`` shuffles with documented keys and
-    salting for skew;
+  - stage state is read by stateless map tasks: the mention detection
+    automaton is built once per worker process, the sense-inventory
+    scorer once on the driver and broadcast via ``ray.put``;
+  - wide steps are explicit bucketed hash shuffles on raw Ray tasks
+    (``stages/groups.py``) with documented keys; skewed conversations
+    move as dense turn-run fragments;
   - nothing in this package calls ``ray.init()`` / ``ray.shutdown()``
     (driver contract, __ray_entry__.py).
 

@@ -143,8 +143,8 @@ class PipelineConfig:
     induce_algo: str = "cw"
     stopwords: tuple[str, ...] = STOPWORDS
     gazetteer: tuple[str, ...] = GAZETTEER
-    # A2 refinement: when True, the disambiguation actors also hold the
-    # pruned per-term co-occurrence matrices in-state and add a
+    # A2 refinement: when True, the disambiguation scorer also holds the
+    # pruned per-term co-occurrence matrices in-state and adds a
     # second-order score for window tokens absent from a sense vector
     # (gamma-weighted strongest NPMI edge into the sense).  Implemented
     # identically in oracle.disambiguate — tested equivalent either way.

@@ -112,14 +112,15 @@ def linker(inventory_rows: list[dict], edge_maps: dict | None,
            cfg: PipelineConfig):
     """Broadcast the fitted model once; returns ``link(mentions)``, the
     linked mentions pinned with ``compact_blocks`` (not bare materialize,
-    so no empty block reaches the downstream maps)."""
+    so no empty block reaches the downstream maps).  Every ``link`` call
+    shares one scorer, built on the driver by the first."""
     inv_ref = ray.put(inventory_from_rows(inventory_rows))
     edge_ref = ray.put(edge_maps) if cfg.expand_cooc else None
 
     def link(mentions: rd.Dataset) -> rd.Dataset:
         return compact_blocks(disambiguate(
             mentions, inv_ref, edge_maps_ref=edge_ref,
-            expand_gamma=cfg.expand_gamma, state_rows=len(inventory_rows)))
+            expand_gamma=cfg.expand_gamma))
     return link
 
 

@@ -1,16 +1,18 @@
-"""O1/M7 + SHUFFLE 1 — per-conversation grouping with salting, stable
-turn ordering, and the per-turn text-equality guard (SURVEY.md §2.6 O1,
-§2.2 M7, §4.3 skew row; BASELINE.json:6 "grouped per conv_id via ray.data
-groupby with explicit repartitioning and salting for skewed long
-conversations (preserving per-turn text equality under stable turn_idx
-ordering)").
+"""O1/M7 + SHUFFLE 1 — per-conversation grouping with skew-safe partial
+folds, stable turn ordering, and the per-turn text-equality guard
+(SURVEY.md §2.6 O1, §2.2 M7, §4.3 skew row; BASELINE.json:6 "grouped per
+conv_id via ray.data groupby with explicit repartitioning and salting for
+skewed long conversations (preserving per-turn text equality under stable
+turn_idx ordering)").
 
-Salting: ``salt = turn_idx // SALT_CAP`` appends a deterministic sub-key so
-a pathologically long conversation splits into capped contiguous turn
-ranges instead of one straggler group.  Because the ranges are contiguous
-in turn_idx, any order-sensitive per-conversation fold (like the text
-digest below) can be computed per salted sub-group and combined in salt
-order — associativity restores whole-conversation semantics.
+Skew: a long conversation never reaches the shuffle as one group of
+turns.  Each batch folds every maximal dense turn_idx run of a
+conversation into one fragment row (conv_id, start_turn, h) — the
+order-safe form of salting, since turn_idx is unique per conversation,
+so fragments never overlap and sorting them by start_turn restores exact
+turn order however the turns were split across batches.  The shuffle
+moves ~one fragment per (conversation x batch), and an order-sensitive
+fold (the digest below) combines the fragments in start_turn order.
 
 Text-equality guard: digest(conv) = md5(concat of md5(text) in turn_idx
 order).  Computed on the raw input AND on any text-carrying stage output;
@@ -28,15 +30,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-
-SALT_CAP = 64  # max turns per salted sub-group
-
-
-def with_salt(ds: rd.Dataset, cap: int = SALT_CAP) -> rd.Dataset:
-    def add(batch: pa.Table) -> pa.Table:
-        salt = pc.cast(pc.divide(batch["turn_idx"], cap), pa.int32())
-        return batch.append_column("salt", salt)
-    return ds.map_batches(add, batch_format="pyarrow")
 
 
 def _md5_hex_per_row(col: pa.Array | pa.ChunkedArray) -> list[str]:
@@ -63,21 +56,17 @@ def _md5_hex_per_row(col: pa.Array | pa.ChunkedArray) -> list[str]:
     return out
 
 
-def conv_digest(ds: rd.Dataset, cap: int = SALT_CAP) -> rd.Dataset:
+def conv_digest(ds: rd.Dataset) -> rd.Dataset:
     """(conv_id, digest) — md5 chain over per-turn md5s in turn order
     (mirrored in SQL as md5(string_agg(md5(text), '' ORDER BY turn_idx))).
 
     Two-level partial fold: each batch md5s its turns AND concatenates the
-    digests of every dense turn_idx run into one FRAGMENT row
-    (conv_id, start_turn, h) — the order-safe generalisation of the salted
-    (conv_id, salt) partial (module doc): turn_idx values are unique per
-    conversation, so maximal dense runs never overlap and sorting
-    fragments by start_turn restores exact turn order no matter how turns
-    were split across batches.  The shuffle then moves ~one row per
-    (conversation × batch) instead of one per turn, and the per-bucket
-    reduce folds a handful of fragments per conversation.  At 10^12-turn
-    scale the fragments become their own shuffle level so a
-    mega-conversation never has to fit one task.
+    digests of every dense turn_idx run into one fragment row (module
+    doc), so the shuffle moves ~one row per (conversation × batch)
+    instead of one per turn, and the per-bucket reduce folds a handful of
+    fragments per conversation.  At 10^12-turn scale the fragments become
+    their own shuffle level so a mega-conversation never has to fit one
+    task.
     """
     from .groups import bucketed_group_apply
 
@@ -85,7 +74,6 @@ def conv_digest(ds: rd.Dataset, cap: int = SALT_CAP) -> rd.Dataset:
         conv = t["conv_id"]
         if isinstance(conv, pa.ChunkedArray):
             conv = conv.combine_chunks()
-        import pyarrow.compute as pc
         enc = pc.dictionary_encode(conv)
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         turn = t["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)

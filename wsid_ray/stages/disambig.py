@@ -4,12 +4,17 @@ BASELINE.json:6: "mention detection + candidate entity-link scoring runs in
 map_batches over zero-copy Arrow with actor pools holding the induced sense
 inventories and co-occurrence matrices in-state."
 
-The actor pool holds, in state (loaded once per actor from a ``ray.put``
-object ref):
-  * the induced sense inventory {term: {sense_id: {token: weight}}};
-  * the (term, sense_id) -> kb entity link map, precomputed by scoring each
-    sense vector against each KB candidate's profile token set (overlap
-    weight sum; ties -> lexicographically smallest kb_id).
+The scorer state is built once, on the driver, and broadcast with one
+``ray.put``; every map task reads it back with ``ray.get``, whose numpy
+and Arrow arrays map zero-copy out of the object store, so each node
+holds one copy.  The state is:
+  * the induced sense inventory {term: {sense_id: {token: weight}}},
+    flattened into "term\\0token" keys over ragged (sense_id, weight)
+    slices — with ``expand_cooc``, the pruned per-term co-occurrence
+    matrices folded in as second-order weights;
+  * the (term, sense_id) -> kb entity link table, precomputed by scoring
+    each sense vector against each KB candidate's profile token set
+    (overlap weight sum; ties -> lexicographically smallest kb_id).
 
 Scoring semantics [R, wsid disambiguation]: score(mention, sense) =
 Σ_{tok ∈ window} weight_sense(tok); argmax, ties -> lowest sense_id;
@@ -17,19 +22,20 @@ mentions whose every sense scores <= MIN_LINK_SCORE get sense_id = -1
 (unlinkable) and are dropped from triple assembly.
 
 Scale note: the inventory is |gazetteer|·top_k-bounded — broadcast, not
-shuffled.  With a web-scale gazetteer, shard inventories across the pool
-by hash(term) and route batches by the same key (SURVEY.md §7 hard-part 6).
+shuffled.  With a web-scale gazetteer, shard inventories by hash(term)
+and route batches by the same key (SURVEY.md §7 hard-part 6).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
 from ..config import MIN_LINK_SCORE, kb_candidates
-from ..util import ragged_ranges
+from ..util import list_row_indices, ragged_ranges
 
 
 def build_link_map(inventory: dict[str, dict[int, dict[str, float]]]
@@ -63,26 +69,20 @@ class SenseDisambiguator:
     come back through a numpy ragged gather, per-(mention, sense) sums
     fold with bincount, argmax via lexsort with (score desc, sense_id
     asc).  Scores compare at 6 dp (shared rule with the oracle) so
-    summation order is immaterial."""
+    summation order is immaterial.
 
-    def __init__(self, inventory_ref, edge_maps_ref=None,
+    Holds only arrays that ``__call__`` reads, so a ``ray.put`` of the
+    scorer comes back zero-copy in every task."""
+
+    def __init__(self, inventory: dict, edge_maps: dict | None = None,
                  expand_gamma: float = 0.5):
-        inv = ray.get(inventory_ref)
-        self.inventory = inv
-        self.link = build_link_map(inv)
-        # A2 state (BASELINE.json:6): the pruned per-term co-occurrence
-        # matrices ride in actor state alongside the inventory when the
-        # expansion refinement is on.
-        self.edge_maps = (ray.get(edge_maps_ref)
-                          if edge_maps_ref is not None else None)
-        self.expand_gamma = expand_gamma
         # Flattened lookup for the vectorised scorer: unique
         # "term\0token" keys (probed with one pc.index_in per batch) →
         # ragged slices of (sense_id, weight) pairs, since one token can
         # weigh into several senses of its term.
         bykey: dict[str, list[tuple[int, float]]] = {}
         max_sid = 0
-        for term, senses in inv.items():
+        for term, senses in inventory.items():
             for sid, vec in senses.items():
                 max_sid = max(max_sid, int(sid))
                 for tok, w in vec.items():
@@ -97,9 +97,9 @@ class SenseDisambiguator:
         # sense) and the per-batch scorer stays one index_in + bincount
         # fold with no per-mention Python.  State stays vocab-bounded:
         # ≤ |edges| x |senses| pairs per term.
-        if self.edge_maps is not None:
-            for term, emap in self.edge_maps.items():
-                senses = inv.get(term, {})
+        if edge_maps is not None:
+            for term, emap in edge_maps.items():
+                senses = inventory.get(term, {})
                 if not senses:
                     continue
                 best: dict[tuple[str, int], float] = {}
@@ -114,7 +114,7 @@ class SenseDisambiguator:
                                 best[k] = npmi
                 for (tok, sid), b in best.items():
                     bykey.setdefault(f"{term}\x00{tok}", []).append(
-                        (sid, self.expand_gamma * b))
+                        (sid, expand_gamma * b))
         keys = sorted(bykey)
         counts = np.array([len(bykey[k]) for k in keys], dtype=np.int64)
         self.inv_key_arr = pa.array(keys, type=pa.string())
@@ -124,19 +124,28 @@ class SenseDisambiguator:
         flat_pairs = [p for k in keys for p in bykey[k]]
         self.inv_sid = np.array([p[0] for p in flat_pairs], dtype=np.int64)
         self.inv_w = np.array([p[1] for p in flat_pairs], dtype=np.float64)
-        self.n_senses = max_sid + 1
+        self.n_senses = S = max_sid + 1
+        # Link table: kb_id of (term, sense_id) at term_code * S +
+        # sense_id, with "" in the unused slots and in one trailing slot
+        # that unlinked mentions and unknown terms take.
+        terms = sorted(inventory)
+        code = {t: i for i, t in enumerate(terms)}
+        kb = [""] * (len(terms) * S + 1)
+        for (term, sid), kb_id in build_link_map(inventory).items():
+            kb[code[term] * S + int(sid)] = kb_id
+        self.link_terms = pa.array(terms, type=pa.string())
+        self.link_kb = pa.array(kb, type=pa.string())
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from ..util import list_row_indices
         n = batch.num_rows
         wins = batch["win_tokens"]
         if isinstance(wins, pa.ChunkedArray):
             wins = wins.combine_chunks()
         flat = wins.flatten()
         midx = list_row_indices(wins)
-        terms_np = np.asarray(batch["term"].to_pylist(), dtype=object)
+        tcol = batch["term"]
+        if isinstance(tcol, pa.ChunkedArray):
+            tcol = tcol.combine_chunks()
         sense_ids = np.full(n, -1, dtype=np.int32)
         scores = np.zeros(n, dtype=np.float64)
         # vectorised scorer (expansion mode included — its second-order
@@ -155,9 +164,6 @@ class SenseDisambiguator:
                 enc = enc.combine_chunks()
             codes = enc.indices.to_numpy(zero_copy_only=False) \
                 .astype(np.int64)
-            tcol = batch["term"]
-            if isinstance(tcol, pa.ChunkedArray):
-                tcol = tcol.combine_chunks()
             tenc = pc.dictionary_encode(tcol)
             if isinstance(tenc, pa.ChunkedArray):
                 tenc = tenc.combine_chunks()
@@ -199,94 +205,71 @@ class SenseDisambiguator:
                 bi = order[first]
                 sense_ids[m_of[bi]] = s_of[bi]
                 scores[m_of[bi]] = sums[bi]
-        return self._emit(batch, terms_np, sense_ids, scores)
+        return self._emit(batch, tcol, sense_ids, scores)
 
-    def _emit(self, batch, terms_np, sense_ids, scores) -> pa.Table:
-        terms = terms_np.tolist()
-        kb_ids = [self.link.get((t, int(s)), "")
-                  for t, s in zip(terms, sense_ids)]
-        entity_ids = [f"{t}#{s}" for t, s in zip(terms, sense_ids)]
+    def _emit(self, batch, tcol, sense_ids, scores) -> pa.Table:
+        sid = pa.array(sense_ids, type=pa.int32())
+        # kb_id: one take from the link table; unknown terms and
+        # unlinked mentions read its trailing "" slot
+        code = pc.index_in(tcol, value_set=self.link_terms) \
+            .fill_null(-1).to_numpy(zero_copy_only=False).astype(np.int64)
+        slot = np.where((code >= 0) & (sense_ids >= 0),
+                        code * self.n_senses + sense_ids,
+                        len(self.link_kb) - 1)
+        entity_ids = pc.binary_join_element_wise(
+            tcol, pc.cast(sid, pa.string()), "#")
         out = batch.drop_columns(["win_tokens"])
-        out = out.append_column("sense_id", pa.array(sense_ids, type=pa.int32()))
+        out = out.append_column("sense_id", sid)
         out = out.append_column("score", pa.array(scores, type=pa.float64()))
-        out = out.append_column("entity_id", pa.array(entity_ids, type=pa.string()))
-        out = out.append_column("kb_id", pa.array(kb_ids, type=pa.string()))
+        out = out.append_column("entity_id",
+                                pc.cast(entity_ids, pa.string()))
+        out = out.append_column("kb_id",
+                                self.link_kb.take(pa.array(slot)))
         return out
 
 
-# Per-worker-process scorer memo for the stateless-tasks path: the state
-# (flattened inventory + link map) is built ONCE per process from the
-# broadcast refs — actor-`__init__` semantics without a dedicated pool.
-# Keyed by ref identity; bounded (a long-lived worker serving many runs
-# keeps only the most recent states).
+# Driver-side memo: the scorer's object ref per broadcast model, so a
+# run that links shard by shard (pipelines/checkpointed.py) builds and
+# puts the scorer once.  Keyed by ref identity; bounded (a long-lived
+# driver serving many runs keeps only the most recent scorers).
 _SCORER_MEMO: dict = {}
 _SCORER_MEMO_MAX = 4
 
-# Above this many flattened (term, sense, token) state rows the scorer
-# state is no longer broadcast-cheap and a fixed actor pool (state built
-# exactly `concurrency` times, slots pinned) beats elastic tasks (state
-# built once per worker process that ever sees a batch).
-_ACTOR_STATE_ROWS = 200_000
 
-
-def _scorer_for(inventory_ref, edge_maps_ref,
-                expand_gamma: float) -> SenseDisambiguator:
+def _scorer_ref(inventory_ref, edge_maps_ref, expand_gamma: float):
     key = (inventory_ref.hex(),
            edge_maps_ref.hex() if edge_maps_ref is not None else None,
            expand_gamma)
-    s = _SCORER_MEMO.get(key)
-    if s is None:
+    ref = _SCORER_MEMO.get(key)
+    if ref is None:
         if len(_SCORER_MEMO) >= _SCORER_MEMO_MAX:
             _SCORER_MEMO.pop(next(iter(_SCORER_MEMO)))
-        s = SenseDisambiguator(inventory_ref, edge_maps_ref, expand_gamma)
-        _SCORER_MEMO[key] = s
-    return s
+        edge_maps = (ray.get(edge_maps_ref)
+                     if edge_maps_ref is not None else None)
+        ref = ray.put(SenseDisambiguator(ray.get(inventory_ref), edge_maps,
+                                         expand_gamma))
+        _SCORER_MEMO[key] = ref
+    return ref
 
 
 def disambiguate(mentions_raw: rd.Dataset, inventory_ref,
                  edge_maps_ref=None, expand_gamma: float = 0.5,
-                 concurrency=None, state_rows: int | None = None
-                 ) -> rd.Dataset:
-    """Size-aware physical plan (measured, BASELINE.md r3):
+                 state_rows: int | None = None) -> rd.Dataset:
+    """Score and link every mention with one scorer built on the driver
+    (module docstring) and read back zero-copy by each map task.
 
-    * small inventory (the broadcast-cheap common case) → STATELESS
-      tasks with a per-process scorer memo.  Tasks fuse with the
-      upstream read→tokenize→detect chain into one elastic stage that
-      uses every free CPU — the fixed actor pool measured 9.4/16 busy
-      cores over its pass (pool ramp-up + slots reserved for the
-      parquet read starved the fused chain), the elastic form saturates.
-    * large inventory (``state_rows`` > _ACTOR_STATE_ROWS, the web-scale
-      gazetteer regime) or explicit ``concurrency`` → ACTOR POOL holding
-      the state in ``__init__`` (A2/A3, BASELINE.json:6): elastic tasks
-      would rebuild heavy state once per worker process, the pool builds
-      it exactly ``concurrency`` times.
+    Stateless tasks fuse with the upstream read→tokenize→detect chain
+    into one elastic operator that uses every free CPU.  No explicit
+    batch_size: an explicit size blocks Ray Data's read fusion and
+    forces the decoded corpus through the object store
+    (pipelines/flagship.py detect_mentions note).
+
+    ``state_rows`` is unused; it is accepted only for callers that still
+    pass it (perfbench/traced.py).
     """
-    if concurrency is None and (state_rows is None
-                                or state_rows <= _ACTOR_STATE_ROWS):
-        def score(batch: pa.Table) -> pa.Table:
-            return _scorer_for(inventory_ref, edge_maps_ref,
-                               expand_gamma)(batch)
+    scorer_ref = _scorer_ref(inventory_ref, edge_maps_ref, expand_gamma)
 
-        # no explicit batch_size: an explicit size blocks Ray Data's
-        # read fusion and forces the decoded corpus through the object
-        # store (pipelines/flagship.py detect_mentions note); unset, the
-        # whole read→tokenize→detect→score pass is ONE fused operator.
-        return mentions_raw.map_batches(score, batch_format="pyarrow")
+    def score(batch: pa.Table) -> pa.Table:
+        return ray.get(scorer_ref)(batch)
 
-    from ..runtime import pool_limits
-    if concurrency is None:
-        # The heavy mention-scale stage — and, with operator fusion, the
-        # host of the whole fused read→tokenize→detect→score chain, so an
-        # undersized pool idles the rest of the machine (measured: a
-        # frac=0.5 cap left 8 of 16 cores idle for the entire pass).
-        # Its execution plan is maps-only ending in materialize (no
-        # AllToAll shares the execution), so the deadlock guard only
-        # needs the 2 task slots for the parquet read.
-        concurrency = pool_limits(frac=1.0, hi=64)
-    return mentions_raw.map_batches(
-        SenseDisambiguator,
-        fn_constructor_kwargs=dict(inventory_ref=inventory_ref,
-                                   edge_maps_ref=edge_maps_ref,
-                                   expand_gamma=expand_gamma),
-        batch_format="pyarrow", batch_size=32768,
-        concurrency=concurrency, num_cpus=1)
+    return mentions_raw.map_batches(score, batch_format="pyarrow")

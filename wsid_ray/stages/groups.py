@@ -1,11 +1,11 @@
 """Coarse hash-bucketed grouping — the scale-friendly groupby pattern.
 
-``Dataset.groupby(key).map_groups(fn)`` pays a Python call per group; with
-millions of tiny groups (one per turn, one per triple) that dominates wall
-time.  The pattern here: hash the key columns into B coarse buckets
-(deterministic ``pd.util.hash_pandas_object`` — fixed hash key, no
-process salt), move rows once keyed on the bucket id, and run a
-*vectorised* pandas function over each whole bucket.  All rows of a key
+A per-group UDF over ``Dataset.groupby(key)`` pays a Python call per
+group; with millions of tiny groups (one per turn, one per triple) that
+dominates wall time.  The pattern here: hash the key columns into B
+coarse buckets (deterministic ``pd.util.hash_pandas_object`` — fixed
+hash key, no process salt), move rows once keyed on the bucket id, and
+run a *vectorised* pandas function over each whole bucket.  All rows of a key
 land in one bucket, so per-key semantics (dedup, per-turn pair expansion,
 per-conv folds) hold whatever B is: the bucket count changes the number
 of reduce tasks, never a result.
@@ -16,21 +16,18 @@ already runs (no extra pass).  So a reduce task's input stays bounded as
 the data grows, and a small input pays for one reduce task instead of
 tens of near-empty ones (the fixed cost that dominated short jobs).
 
-Two physical engines over the same executed input blocks:
+One engine, an explicit two-wave hash shuffle on raw Ray tasks over the
+executed input blocks: split tasks cut their blocks into B bucket slices
+(``num_returns=B``), then one reduce task per bucket concatenates its
+slices and applies fn.  ~1.0s at 8 CPUs and ~1.3s at 32 on 1M rows in 32
+blocks — flat in CPU count, no sample/sort barrier.  Ray Data's
+sort-based groupby over the same bucket ids measured 3.8s at 8 CPUs, and
+73s against 8.9s for this engine on 600 blocks x B=100 at 4 CPUs.
 
-  impl="tasks" (default): an explicit two-wave hash shuffle on raw Ray
-    tasks — split each block into B bucket slices (one task/block,
-    ``num_returns=B``), then one reduce task per bucket concatenates its
-    slices and applies fn.  ~1.0s at 8 CPUs and ~1.3s at 32 on 1M rows
-    in 32 blocks — flat in CPU count, no sample/sort barrier.  This is
-    the documented "drop to raw Ray tasks" escape hatch: the Dataset API
-    expresses the same semantics (impl="sort") but its sort-based
-    AllToAll measured 3.8s at 8 CPUs / 0.8-11s depending on key type and
-    block count.  The driver holds blocks×B slice refs, so beyond
-    ``_TASKS_MAX_REFS`` it falls back to "sort".
-
-  impl="sort": ``groupby(bucket_int).map_groups`` — no per-slice driver
-    refs; the unbounded-scale path.
+The driver holds one slice ref per (split task, bucket), so it launches
+G = min(blocks, _TASKS_MAX_REFS // B) split tasks, each over a run of
+consecutive blocks: at most ``_TASKS_MAX_REFS`` slice refs whatever the
+block count (one split task per block below the bound).
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-BUCKET_COL = "__bucket"
 _TASKS_MAX_REFS = 50_000
 ROWS_PER_BUCKET = 50_000
 
@@ -52,13 +48,6 @@ def _bucket_of(df: pd.DataFrame, key_cols: list[str],
                num_buckets: int) -> np.ndarray:
     h = pd.util.hash_pandas_object(df[key_cols], index=False)
     return (h % num_buckets).to_numpy()
-
-
-def add_bucket(df: pd.DataFrame, key_cols: list[str],
-               num_buckets: int) -> pd.DataFrame:
-    df = df.copy()
-    df[BUCKET_COL] = _bucket_of(df, key_cols, num_buckets).astype("int32")
-    return df
 
 
 @ray.remote
@@ -74,16 +63,33 @@ def drop_empty_refs(outs: list) -> list:
     downstream operator — so raw-task ops must not surface empty blocks.
     Keeps one block when all are empty (the dataset needs a schema).
     Driver-side barrier on the producing tasks — acceptable here because
-    the tasks impl already waits for its whole input to execute (the
+    the shuffle already waits for its whole input to execute (the
     bucket count comes from its row count)."""
     counts = ray.get([_num_rows.remote(o) for o in outs])
     keep = [o for o, c in zip(outs, counts) if c]
     return keep if keep else outs[:1]
 
 
+def _concat_nonempty(tables) -> pa.Table | None:
+    """Concatenate the non-empty tables (None if there are none).  Blocks
+    can come from mixed origins (arrow maps, pandas maps, earlier
+    reduces) with string/large_string and column-order drift — normalise
+    to the first table's layout before concat."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return None
+    names = tables[0].schema.names
+    return pa.concat_tables([t.select(names) for t in tables],
+                            promote_options="permissive")
+
+
 @ray.remote
-def _split_block(tb: pa.Table, key_cols: list[str], num_buckets: int):
-    """block -> (bucket_0_slice, ..., bucket_{B-1}_slice)."""
+def _split_block(key_cols: list[str], num_buckets: int, *tables: pa.Table):
+    """blocks -> (bucket_0_slice, ..., bucket_{B-1}_slice) of their
+    concatenation."""
+    tb = _concat_nonempty(tables)
+    if tb is None:
+        tb = tables[0]
     if num_buckets == 1:
         # with num_returns=1 Ray refs the WHOLE return value — a 1-tuple
         # would reach the reduce task unwrapped; return the bare table
@@ -147,8 +153,8 @@ def _probe_out_schema(bucket_fn, in_schema: pa.Schema) -> pa.Schema | None:
 def _reduce_bucket(fn, out_schema, empty_schema, *parts):
     if out_schema is not None:
         out_schema = pa.schema(out_schema)  # may arrive serialized
-    tables = [p for p in parts if p.num_rows]
-    if not tables:
+    tb = _concat_nonempty(parts)
+    if tb is None:
         # empty bucket: the declared (or build-time-probed) output schema
         # types the empty block exactly — no in-task dtype guessing
         if out_schema is not None:
@@ -156,12 +162,6 @@ def _reduce_bucket(fn, out_schema, empty_schema, *parts):
         if empty_schema is not None:
             return pa.schema(empty_schema).empty_table()
         return parts[0].slice(0, 0)
-    # blocks can come from mixed origins (arrow maps, pandas maps, earlier
-    # reduces) with string/large_string and column-order drift — normalise
-    # to the first part's layout before concat.
-    names = tables[0].schema.names
-    tables = [t.select(names) for t in tables]
-    tb = pa.concat_tables(tables, promote_options="permissive")
     out = fn(tb.to_pandas())
     res = pa.Table.from_pandas(out, preserve_index=False)
     if out_schema is not None:
@@ -171,39 +171,11 @@ def _reduce_bucket(fn, out_schema, empty_schema, *parts):
     return res.replace_schema_metadata(None)
 
 
-def _tasks_apply(blocks: list, key_cols: list[str], bucket_fn,
-                 num_buckets: int,
-                 out_schema: pa.Schema | None = None) -> rd.Dataset:
-    empty_schema = None
-    if out_schema is None:
-        # one probe per pipeline build, reused by every empty bucket
-        empty_schema = _probe_out_schema(
-            bucket_fn, ray.get(_block_schema.remote(blocks[0])))
-    B = num_buckets
-    if B == 1:  # nothing to split: the one reduce reads every block
-        split_refs = [[b] for b in blocks]
-    else:
-        split_refs = [
-            _split_block.options(num_returns=B).remote(b, key_cols, B)
-            for b in blocks
-        ]
-    # no driver-side barrier: every reduce is scheduled immediately and
-    # starts as soon as its B input slices exist; all-empty buckets
-    # return a typed empty table (schema-stable, cheap)
-    outs = [
-        _reduce_bucket.remote(bucket_fn, out_schema, empty_schema,
-                              *[sr[b] for sr in split_refs])
-        for b in range(B)
-    ]
-    return rd.from_arrow_refs(drop_empty_refs(outs))
-
-
 def bucketed_group_apply(
     ds: rd.Dataset,
     key_cols: list[str],
     bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
     num_buckets: int | None = None,
-    impl: str | None = None,
     out_schema: pa.Schema | None = None,
 ) -> rd.Dataset:
     """One hash shuffle keyed on hash(key_cols) % B, then ``bucket_fn``
@@ -215,25 +187,35 @@ def bucketed_group_apply(
     buckets emit exactly this schema (no dtype guessing) and non-empty
     outputs are cast to it, keeping the block stream schema-stable."""
     blocks, rows = _arrow_blocks(ds)
+    if not blocks:  # executed to no blocks at all: nothing to group
+        return ds
     B = num_buckets or max(1, -(-sum(rows) // ROWS_PER_BUCKET))
-    if impl in (None, "tasks") and blocks and \
-            len(blocks) * B <= _TASKS_MAX_REFS:
-        # the measured-faster default (module docstring)
-        return _tasks_apply(blocks, key_cols, bucket_fn, B, out_schema)
-
-    src = rd.from_arrow_refs(blocks) if blocks else ds
-    withb = src.map_batches(lambda df: add_bucket(df, key_cols, B),
-                            batch_format="pandas")
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return bucket_fn(g.drop(columns=[BUCKET_COL]))
-
-    out = withb.groupby(BUCKET_COL).map_groups(run, batch_format="pandas")
-    if out_schema is not None:
-        out = out.map_batches(
-            lambda t: t.select(out_schema.names).cast(out_schema),
-            batch_format="pyarrow")
-    return out
+    empty_schema = None
+    if out_schema is None:
+        # one probe per pipeline build, reused by every empty bucket
+        empty_schema = _probe_out_schema(
+            bucket_fn, ray.get(_block_schema.remote(blocks[0])))
+    if B == 1:  # nothing to split: the one reduce reads every block
+        split_refs = [[b] for b in blocks]
+    else:
+        # G split tasks over runs of consecutive blocks keep the
+        # driver's G x B slice refs under _TASKS_MAX_REFS
+        G = max(1, min(len(blocks), _TASKS_MAX_REFS // B))
+        cuts = [len(blocks) * g // G for g in range(G + 1)]
+        split_refs = [
+            _split_block.options(num_returns=B).remote(
+                key_cols, B, *blocks[cuts[g]:cuts[g + 1]])
+            for g in range(G)
+        ]
+    # no driver-side barrier: every reduce is scheduled immediately and
+    # starts as soon as its B input slices exist; all-empty buckets
+    # return a typed empty table (schema-stable, cheap)
+    outs = [
+        _reduce_bucket.remote(bucket_fn, out_schema, empty_schema,
+                              *[sr[b] for sr in split_refs])
+        for b in range(B)
+    ]
+    return rd.from_arrow_refs(drop_empty_refs(outs))
 
 
 def distinct(ds: rd.Dataset, key_cols: list[str],
