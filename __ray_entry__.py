@@ -403,7 +403,7 @@ def _sql_linked_mentions(tr: str, tok: str, gaz: str,
       * kb link: per (term, sense) argmax of Σ sense-vector weight over
         the candidate's profile tokens, ALL candidates participate
         (zero-overlap scores 0), ties → lexicographically smallest kb_id
-        (disambig.build_link_map).
+        (the link table of stages/disambig.SenseDisambiguator).
 
     Returns a SELECT producing the mentions_linked schema.  Embed inside
     ``WITH RECURSIVE`` queries via the men/scores CTE names — all CTE

@@ -61,6 +61,16 @@ def test_linked_senses_track_planted_kb(tiny_results):
     assert good / max(1, good + bad) >= 0.8, (good, bad)
 
 
+def _nested(inventory) -> dict:
+    """An ``INVENTORY_SCHEMA`` table -> the oracle's nested inventory
+    {term: {sense_id: {token: weight}}}."""
+    inv: dict = {}
+    for r in inventory.to_pylist():
+        inv.setdefault(r["term"], {}).setdefault(
+            r["sense_id"], {})[r["token"]] = r["weight"]
+    return inv
+
+
 def _tiny_mentions():
     from wsid_ray.config import DEFAULT_CONFIG
     from wsid_ray.pipelines.flagship import detect_mentions
@@ -77,7 +87,6 @@ def test_fit_matches_oracle_at_any_bucket_count(monkeypatch):
     from wsid_ray.pipelines.flagship import fit_model
     from wsid_ray.stages import groups
     from wsid_ray.stages.cooc import window_partials
-    from wsid_ray.stages.disambig import inventory_from_rows
 
     mentions = _tiny_mentions()
     want = run_oracle(transcript_files("tiny"))["inventory"]
@@ -86,9 +95,9 @@ def test_fit_matches_oracle_at_any_bucket_count(monkeypatch):
     for n in (1, 2, 3, 32):
         monkeypatch.setattr(groups, "ROWS_PER_BUCKET", -(-rows // n))
         seen.append(-(-rows // groups.ROWS_PER_BUCKET))
-        inv, edge_maps = fit_model(mentions, DEFAULT_CONFIG)
-        assert edge_maps is None
-        assert inventory_from_rows(inv) == want, seen
+        inv, edges = fit_model(mentions, DEFAULT_CONFIG)
+        assert edges is None
+        assert _nested(inv) == want, seen
     assert seen[:3] == [1, 2, 3] and seen[3] > len(want), seen
 
 
@@ -97,29 +106,36 @@ def test_fit_gate_decides_before_driver_collect(monkeypatch):
     term-keyed shuffle: no raw (term, w, v, n) count row ever reaches a
     driver collect, only the inventory and (with expand_cooc) the pruned
     edges, which equal the oracle's."""
+    import pyarrow.compute as pc
+
     import wsid_ray.util as util
     from wsid_ray.config import PipelineConfig
     from wsid_ray.pipelines import flagship
-    from wsid_ray.stages.disambig import inventory_from_rows
 
     cfg = PipelineConfig(expand_cooc=True)
     mentions = _tiny_mentions()
-    offending: list[frozenset] = []
-    real = util.collect_rows
+    collected: list[list[str]] = []
+    offending: list[list[str]] = []
+    real = util.collect_table
 
     def spy(ds):
-        rows = real(ds)
-        for r in rows:
-            if (set(r) == {"term", "w", "v", "n"}) and r["v"] != "":
-                offending.append(frozenset(r))
-                break
-        return rows
+        t = real(ds)
+        if t is not None:
+            collected.append(t.column_names)
+            if (set(t.column_names) == {"term", "w", "v", "n"}
+                    and pc.any(pc.not_equal(t["v"], "")).as_py()):
+                offending.append(t.column_names)
+        return t
 
-    monkeypatch.setattr(util, "collect_rows", spy)
-    inv, maps = flagship.fit_model(mentions, cfg)
+    monkeypatch.setattr(util, "collect_table", spy)
+    inv, edges = flagship.fit_model(mentions, cfg)
+    assert collected, "the fit collected nothing through collect_table"
     assert not offending, "raw pair counts were collected to the driver"
     oracle = run_oracle(transcript_files("tiny"), cfg)
-    assert inventory_from_rows(inv) == oracle["inventory"]
+    assert _nested(inv) == oracle["inventory"]
+    maps: dict = {}
+    for r in edges.to_pylist():
+        maps.setdefault(r["term"], {})[(r["w"], r["v"])] = r["npmi"]
     want = {t: {(w, v): x for w, v, x in es}
             for t, es in oracle["edges"].items()}
     assert {t: set(m) for t, m in maps.items()} == \
@@ -138,6 +154,41 @@ def test_fit_gate_expand_cooc_guard(monkeypatch):
     monkeypatch.setattr(flagship, "EXPAND_STATE_MAX_ROWS", 0)
     with pytest.raises(ValueError, match="expand_cooc"):
         flagship.fit_model(mentions, PipelineConfig(expand_cooc=True))
+
+
+@pytest.mark.parametrize("driver_threshold", [None, 0])
+def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch,
+                                         driver_threshold):
+    """canon_map over linked mentions whose every block is tripled equals
+    the oracle's canon map on both union-find paths (0 forces the
+    distributed rounds), with no global distinct on the entity-KB pairs:
+    both paths take duplicate pairs."""
+    import functools
+
+    import ray
+    import ray.data as rd
+
+    from wsid_ray.pipelines import flagship
+    from wsid_ray.stages import groups, unionfind
+
+    oracle, art = tiny_results
+    keyed = []
+    real_distinct = groups.distinct
+
+    def spy(ds, key_cols, *a, **kw):
+        keyed.append(list(key_cols))
+        return real_distinct(ds, key_cols, *a, **kw)
+
+    monkeypatch.setattr(groups, "distinct", spy)
+    if driver_threshold is not None:
+        monkeypatch.setattr(flagship, "canonicalize", functools.partial(
+            unionfind.canonicalize, driver_threshold=driver_threshold))
+    blocks = ray.get(art.linked_mentions.to_arrow_refs())
+    canon = flagship.canon_map(rd.from_arrow(blocks * 3))
+    assert canon == oracle["canon"]
+    assert ["entity_id", "kb_id"] not in keyed, keyed
+    if driver_threshold is None:
+        assert keyed == []
 
 
 def test_cooc_expansion_mode_matches_oracle():

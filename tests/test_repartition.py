@@ -8,7 +8,13 @@ from wsid_ray.sources.repartition import repartition_by_conv
 from wsid_ray.sources.transcripts import read_transcripts
 
 
-def test_repartition_by_conv(tmp_path):
+def test_repartition_by_conv(tmp_path, monkeypatch):
+    import ray.data as rd
+
+    def no_groupby(*a, **kw):
+        raise AssertionError("Ray Data groupby ran")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
     ds = read_transcripts("tiny")
     out = str(tmp_path / "sharded")
     shards = repartition_by_conv(ds, out, num_shards=3)

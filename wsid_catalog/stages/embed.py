@@ -19,10 +19,9 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from wsid_ray.runtime import pool_limits
 from wsid_ray.stages.tokenize import tokenize_column
 
-from wsid_catalog.util import BoundedCache
+from wsid_catalog.util import BoundedCache, pool_limits
 
 # dim -> token -> bucket; inner memo bounded (ADVICE r03)
 _EMBED_HASH_MEMO: dict[int, dict[str, int]] = {}

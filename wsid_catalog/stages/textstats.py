@@ -217,7 +217,7 @@ def langid_documents(docs: rd.Dataset, model=None) -> rd.Dataset:
     runs as an actor pool with the model resolved in __init__."""
     if model is None:
         return docs.map_batches(langid_batch, batch_format="pyarrow")
-    from wsid_ray.runtime import pool_limits
+    from wsid_catalog.util import pool_limits
     return docs.map_batches(
         LangIdScorer, fn_constructor_kwargs=dict(model=model),
         batch_format="pyarrow", batch_size=1024,

@@ -18,6 +18,7 @@ is the small-corpus, reference-compatible front door.
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from .config import DEFAULT_CONFIG, MIN_LINK_SCORE, PipelineConfig
@@ -56,14 +57,14 @@ def induce(texts: list[str], target: str,
                   induce_algo=algo or cfg.induce_algo)
     turns = _corpus_dataset(texts).map_batches(tokenize_batch,
                                                batch_format="pyarrow")
-    rows, _ = fit_model(detect_mentions(turns, cfg), cfg)
-    senses: dict[int, dict[str, float]] = {}
-    for r in rows:
-        if r["term"] != target:
-            continue
-        senses.setdefault(int(r["sense_id"]), {})[r["token"]] = \
-            float(r["weight"])
-    return [senses[sid] for sid in sorted(senses)]
+    inventory, _ = fit_model(detect_mentions(turns, cfg), cfg)
+    senses = inventory.filter(pc.equal(inventory["term"], target)) \
+        .group_by("sense_id", use_threads=False) \
+        .aggregate([("token", "list"), ("weight", "list")]) \
+        .sort_by("sense_id")
+    return [dict(zip(toks, ws)) for toks, ws in
+            zip(senses["token_list"].to_pylist(),
+                senses["weight_list"].to_pylist())]
 
 
 def disambiguate(context_tokens: list[str],

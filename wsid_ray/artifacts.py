@@ -28,7 +28,7 @@ import tempfile
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .config import DEFAULT_CONFIG, GAZETTEER, kb_candidates
+from .config import DEFAULT_CONFIG, kb_profiles
 
 _ART_VERSION = "a6"
 _ROOT = os.path.join(tempfile.gettempdir(), "wsid_ray_artifacts",
@@ -77,33 +77,11 @@ def ensure(sf_dir_or_scale: str) -> dict[str, str]:
         cfg = DEFAULT_CONFIG
         turns = read_transcripts(scale).map_batches(
             tokenize_batch, batch_format="pyarrow")
-        inv_rows, _ = fit_model(detect_mentions(turns, cfg), cfg)
-        inv = pa.table({
-            "term": pa.array([r["term"] for r in inv_rows],
-                             type=pa.string()),
-            "sense_id": pa.array([r["sense_id"] for r in inv_rows],
-                                 type=pa.int32()),
-            "token": pa.array([r["token"] for r in inv_rows],
-                              type=pa.string()),
-            "weight": pa.array([r["weight"] for r in inv_rows],
-                               type=pa.float64()),
-        })
-        _write_sorted(inv, os.path.join(tmp, "inventory.parquet"),
+        inventory, _ = fit_model(detect_mentions(turns, cfg), cfg)
+        _write_sorted(inventory, os.path.join(tmp, "inventory.parquet"),
                       ["term", "sense_id", "token"])
-
         # --- KB candidate profiles (exploded, from config) -------------
-        kt, kk, kp = [], [], []
-        for term in sorted(GAZETTEER):
-            for kb_id in sorted(kb_candidates(term)):
-                for tok in kb_candidates(term)[kb_id]:
-                    kt.append(term)
-                    kk.append(kb_id)
-                    kp.append(tok)
-        _write_sorted(pa.table({
-            "term": pa.array(kt, type=pa.string()),
-            "kb_id": pa.array(kk, type=pa.string()),
-            "token": pa.array(kp, type=pa.string()),
-        }), os.path.join(tmp, "kb.parquet"), ["term", "kb_id", "token"])
+        pq.write_table(kb_profiles(), os.path.join(tmp, "kb.parquet"))
 
         with open(os.path.join(tmp, "_DONE"), "w") as fh:
             fh.write(_ART_VERSION)

@@ -128,6 +128,18 @@ def kb_candidates(term: str) -> dict[str, tuple[str, ...]]:
     return KB[ALIASES.get(term, term)]
 
 
+def kb_profiles():
+    """The KB exploded to one (term, kb_id, token) row per gazetteer
+    surface form, candidate entity and profile token, sorted: the one
+    KB table the scorer's link step and the SQL mirrors read."""
+    import pyarrow as pa
+    rows = [(term, kb_id, tok) for term in sorted(GAZETTEER)
+            for kb_id, toks in sorted(kb_candidates(term).items())
+            for tok in sorted(toks)]
+    return pa.table([pa.array(c, type=pa.string()) for c in zip(*rows)],
+                    names=["term", "kb_id", "token"])
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Bundled knobs passed to both the Ray pipeline and the oracle."""

@@ -35,13 +35,13 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..fixtures import transcript_files
+from ..stages.induce import inventory_from_rows
 from ..stages.triples import (dedup_triples, read_triples_partitioned,
                                triples_from_mentions,
                                write_triples_partitioned)
 from ..state.checkpoint import CheckpointManager, lineage_hash
 from ..util import compact_blocks
-from .flagship import (canon_map, edge_maps_from_rows, fit_model, linker,
-                       read_mentions)
+from .flagship import canon_map, fit_model, linker, read_mentions
 
 
 def _count_parquet(d: str) -> int:
@@ -97,13 +97,12 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
     if all(ckpt.is_done(s, 0, global_lineage) for s in global_stages):
         def read(stage: str) -> pa.Table:
             return pq.read_table(ckpt.part_dir(stage, 0))
-        inv_rows = read("senses").to_pylist()
-        edge_maps = (edge_maps_from_rows(read("edges").to_pylist())
-                     if cfg.expand_cooc else None)
+        inventory = inventory_from_rows(read("senses"))
+        edges = read("edges") if cfg.expand_cooc else None
         t = read("canon")
         canon = dict(zip(t["entity_id"].to_pylist(),
                          t["canon_id"].to_pylist()))
-        link = linker(inv_rows, edge_maps, cfg)
+        link = linker(inventory, edges, cfg)
     else:
         mentions: list[rd.Dataset] = []
 
@@ -111,13 +110,11 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
             mentions.extend(compact_blocks(read_mentions("", cfg, shard))
                             for shard in shards)
             model = fit_model(_union(mentions), cfg)
-            return model, pa.Table.from_pylist(model[0])
-        inv_rows, edge_maps = write_global("senses", fit)
+            return model, model[0]
+        inventory, edges = write_global("senses", fit)
         if cfg.expand_cooc:
-            write_global("edges", lambda: (None, pa.Table.from_pylist([
-                {"term": t, "w": w, "v": v, "npmi": x}
-                for t, m in edge_maps.items() for (w, v), x in m.items()])))
-        link = linker(inv_rows, edge_maps, cfg)
+            write_global("edges", lambda: (None, edges))
+        link = linker(inventory, edges, cfg)
 
         def canon_pass():
             linked.update(enumerate(link(m) for m in mentions))

@@ -7,7 +7,9 @@
 2. ``fit_model`` over the pinned mentions (text-free, ~0.6 rows/turn):
    per-block window counts, then one term-keyed shuffle whose reduces
    sum the counts, weigh them (NPMI, M5/M6) and run Chinese Whispers;
-   the driver collects the sense inventory and broadcasts it.
+   the driver collects the model as one Arrow table pair (the sense
+   inventory, plus the pruned edges with ``expand_cooc``) and
+   broadcasts it.
 3. ``linker``: disambiguate + entity-link (A2/A3) the same pinned
    mentions; the linked stream is pinned, as both later steps read it.
 4. ``canon_map`` (union-find, D3), then triple assembly + dedup (M8/D1).
@@ -24,8 +26,8 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..sources.transcripts import read_transcripts
-from ..stages.disambig import disambiguate, inventory_from_rows
-from ..stages.induce import fit_senses
+from ..stages.disambig import disambiguate
+from ..stages.induce import fit_senses, model_tables
 from ..stages.tokenize import tokenize_batch
 from ..stages.triples import dedup_triples, triples_from_mentions
 from ..stages.unionfind import canonicalize
@@ -34,7 +36,7 @@ from ..util import compact_blocks
 
 @dataclass
 class FlagshipArtifacts:
-    sense_inventory_rows: list[dict]
+    sense_inventory: pa.Table
     linked_mentions: rd.Dataset
     canon_map: dict[str, str]
     triples: rd.Dataset
@@ -69,8 +71,9 @@ EXPAND_STATE_MAX_ROWS = 2_000_000
 
 
 def fit_model(mentions: rd.Dataset, cfg: PipelineConfig):
-    """mentions -> (sense inventory rows, {term: {(w, v): npmi}} with
-    ``expand_cooc``, else None).
+    """mentions -> (inventory, edges): the fitted model as an
+    ``INVENTORY_SCHEMA`` table and, with ``expand_cooc``, an
+    ``EDGE_SCHEMA`` table of the pruned NPMI edges (else None).
 
     One Ray Data execution (the per-block count partials) feeds one
     term-keyed shuffle whose reduces count, weigh and cluster
@@ -79,7 +82,7 @@ def fit_model(mentions: rd.Dataset, cfg: PipelineConfig):
     ``expand_cooc``, refused above ``EXPAND_STATE_MAX_ROWS`` from the
     executed output's row count before any row is collected.
     """
-    from ..util import collect_rows
+    from ..util import collect_table
 
     model = fit_senses(mentions, cfg).materialize()
     if cfg.expand_cooc and model.count() > EXPAND_STATE_MAX_ROWS:
@@ -87,39 +90,21 @@ def fit_model(mentions: rd.Dataset, cfg: PipelineConfig):
             "expand_cooc: the fit's inventory and pruned NPMI edges exceed "
             f"EXPAND_STATE_MAX_ROWS ({EXPAND_STATE_MAX_ROWS}); shard "
             "inventories by hash(term) or raise npmi_min")
-    inventory, edge_maps = [], {} if cfg.expand_cooc else None
-    for r in collect_rows(model):
-        if r["v"]:
-            edge_maps.setdefault(r["term"], {})[(r["w"], r["v"])] = \
-                r["weight"]
-        else:
-            inventory.append({"term": r["term"], "sense_id": r["sense_id"],
-                              "token": r["w"], "weight": r["weight"]})
-    inventory.sort(key=lambda r: (r["term"], r["sense_id"], -r["weight"],
-                                  r["token"]))
-    return inventory, edge_maps
+    return model_tables(collect_table(model), cfg.expand_cooc)
 
 
-def edge_maps_from_rows(rows: list[dict]) -> dict:
-    """(term, w, v, npmi) rows -> {term: {(w, v): npmi}}."""
-    edge_maps: dict = {}
-    for r in rows:
-        edge_maps.setdefault(r["term"], {})[(r["w"], r["v"])] = r["npmi"]
-    return edge_maps
-
-
-def linker(inventory_rows: list[dict], edge_maps: dict | None,
+def linker(inventory: pa.Table, edges: pa.Table | None,
            cfg: PipelineConfig):
     """Broadcast the fitted model once; returns ``link(mentions)``, the
     linked mentions pinned with ``compact_blocks`` (not bare materialize,
     so no empty block reaches the downstream maps).  Every ``link`` call
     shares one scorer, built on the driver by the first."""
-    inv_ref = ray.put(inventory_from_rows(inventory_rows))
-    edge_ref = ray.put(edge_maps) if cfg.expand_cooc else None
+    inv_ref = ray.put(inventory)
+    edge_ref = ray.put(edges) if cfg.expand_cooc else None
 
     def link(mentions: rd.Dataset) -> rd.Dataset:
         return compact_blocks(disambiguate(
-            mentions, inv_ref, edge_maps_ref=edge_ref,
+            mentions, inv_ref, edges_ref=edge_ref,
             expand_gamma=cfg.expand_gamma))
     return link
 
@@ -131,10 +116,10 @@ def entity_kb_edges(linked: rd.Dataset) -> rd.Dataset:
         t = t.filter(keep)
         return t.select(["entity_id", "kb_id"]).group_by(
             ["entity_id", "kb_id"]).aggregate([])
-    pairs = linked.map_batches(distinct_pairs, batch_format="pyarrow")
-    # global distinct (partial per batch above, final below)
-    from ..stages.groups import distinct
-    return distinct(pairs, ["entity_id", "kb_id"])
+    # distinct per block only: both canonicalize paths take duplicate
+    # pairs (the driver union-find is idempotent, connected_components
+    # dedups its symmetric edges first)
+    return linked.map_batches(distinct_pairs, batch_format="pyarrow")
 
 
 def canon_map(linked: rd.Dataset) -> dict[str, str]:
@@ -149,11 +134,11 @@ def run_flagship(sf_dir_or_scale: str,
                  files: list[str] | None = None) -> FlagshipArtifacts:
     """The plan over the whole input as one shard, with no sink."""
     mentions = compact_blocks(read_mentions(sf_dir_or_scale, cfg, files))
-    inventory_rows, edge_maps = fit_model(mentions, cfg)
-    linked = linker(inventory_rows, edge_maps, cfg)(mentions)
+    inventory, edges = fit_model(mentions, cfg)
+    linked = linker(inventory, edges, cfg)(mentions)
     canon = canon_map(linked)
     return FlagshipArtifacts(
-        sense_inventory_rows=inventory_rows,
+        sense_inventory=inventory,
         linked_mentions=linked,
         canon_map=canon,
         triples=dedup_triples(triples_from_mentions(linked, canon)),

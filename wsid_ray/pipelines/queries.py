@@ -124,11 +124,9 @@ def q_cooc_edges(sf_dir: str) -> rd.Dataset:
         batch_format="pyarrow")
 
 
-def _inventory_frame(rows: list[dict]) -> pd.DataFrame:
-    df = pd.DataFrame(rows)
-    if len(df):
-        df["sense_id"] = df["sense_id"].astype("int32")
-        df["weight"] = df["weight"].round(6)
+def _inventory_frame(inventory: pa.Table) -> pd.DataFrame:
+    df = inventory.to_pandas()
+    df["weight"] = df["weight"].round(6)
     return df
 
 
@@ -145,7 +143,7 @@ def q_sense_inventory_hyperlex(sf_dir: str) -> pd.DataFrame:
 
 
 def q_sense_inventory(sf_dir: str) -> pd.DataFrame:
-    return _inventory_frame(_flagship(sf_dir).sense_inventory_rows)
+    return _inventory_frame(_flagship(sf_dir).sense_inventory)
 
 
 def q_mentions_linked(sf_dir: str) -> rd.Dataset:

@@ -9,24 +9,6 @@ from __future__ import annotations
 import logging
 
 
-def pool_limits(frac: float = 0.25, lo: int = 1, hi: int = 8) -> tuple[int, int]:
-    """Actor-pool (min, max) sized so pools never reserve every CPU slot.
-
-    Idle actors hold their CPU reservation; if the pools of one execution
-    cover all cluster CPUs, the shuffle (AllToAll) tasks of the same
-    execution can never schedule — a deadlock observed at num_cpus=4 with
-    two (1, 8) pools.  Cap each pool at ~frac of cluster CPUs and always
-    leave ≥2 slots for tasks (ray_guide.md L127-131).
-    """
-    import ray
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    cap = max(lo, min(hi, int(cpus * frac), cpus - 2))
-    return (lo, cap)
-
-
 def configure(quiet: bool = True) -> None:
     from ray.data import DataContext
     ctx = DataContext.get_current()

@@ -18,9 +18,13 @@ import tempfile
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data as rd
 
+from ..stages.groups import bucketed_group_apply
 from ..util import stable_hash_strings
+
+_WRITTEN = pa.schema([("shard", pa.int32()), ("rows", pa.int64())])
 
 
 def repartition_by_conv(ds: rd.Dataset, out_dir: str,
@@ -35,26 +39,30 @@ def repartition_by_conv(ds: rd.Dataset, out_dir: str,
 
     tmp = tempfile.mkdtemp(prefix=".repart-", dir=os.path.dirname(out_dir)
                            or ".")
-    try:
-        withb = ds.map_batches(add_shard, batch_format="pandas")
 
-        def write_shard(g: pd.DataFrame) -> pd.DataFrame:
-            shard = int(g["__shard"].iloc[0])
+    def write_shards(df: pd.DataFrame) -> pd.DataFrame:
+        """One reduce: every shard of its bucket, one file each."""
+        written = []
+        for shard, g in df.groupby("__shard", sort=True):
             d = os.path.join(tmp, f"shard-{shard:04d}")
             os.makedirs(d, exist_ok=True)
-            t = pa.Table.from_pandas(g.drop(columns=["__shard"]),
-                                     preserve_index=False)
-            import pyarrow.parquet as pq
-            pq.write_table(t, os.path.join(d, f"part-{os.getpid()}.parquet"))
-            return pd.DataFrame({"shard": [shard], "rows": [len(g)]})
+            pq.write_table(pa.Table.from_pandas(
+                g.drop(columns=["__shard"]), preserve_index=False),
+                os.path.join(d, "part-0.parquet"))
+            written.append((shard, len(g)))
+        return pd.DataFrame(written, columns=_WRITTEN.names)
 
-        # groupby on the shard id colocates each shard's rows in one task
-        stats = withb.groupby("__shard").map_groups(
-            write_shard, batch_format="pandas").to_pandas()
+    try:
+        # one shuffle keyed on the shard id colocates each shard's rows
+        # in one reduce; the declared out_schema keeps the build-time
+        # probe from calling the writer
+        bucketed_group_apply(
+            ds.map_batches(add_shard, batch_format="pandas"), ["__shard"],
+            write_shards, num_buckets=num_shards,
+            out_schema=_WRITTEN).materialize()
         if os.path.exists(out_dir):
             shutil.rmtree(out_dir)
         os.replace(tmp, out_dir)
-        _ = stats
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return sorted(os.path.join(out_dir, d) for d in os.listdir(out_dir)

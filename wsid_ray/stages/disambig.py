@@ -7,14 +7,18 @@ inventories and co-occurrence matrices in-state."
 The scorer state is built once, on the driver, and broadcast with one
 ``ray.put``; every map task reads it back with ``ray.get``, whose numpy
 and Arrow arrays map zero-copy out of the object store, so each node
-holds one copy.  The state is:
-  * the induced sense inventory {term: {sense_id: {token: weight}}},
-    flattened into "term\\0token" keys over ragged (sense_id, weight)
-    slices — with ``expand_cooc``, the pruned per-term co-occurrence
-    matrices folded in as second-order weights;
-  * the (term, sense_id) -> kb entity link table, precomputed by scoring
-    each sense vector against each KB candidate's profile token set
-    (overlap weight sum; ties -> lexicographically smallest kb_id).
+holds one copy.  It is built from the fitted model's Arrow tables
+(stages/induce.py ``INVENTORY_SCHEMA`` rows, plus the pruned
+``EDGE_SCHEMA`` edges with ``expand_cooc``) by sorts, joins and group-bys,
+with no per-token Python.  The state is:
+  * the inventory's (term, token) -> (sense_id, weight) pairs,
+    flattened into sorted "term\\0token" keys over ragged (sense_id,
+    weight) slices — with ``expand_cooc``, the pruned per-term
+    co-occurrence edges folded in as second-order weights;
+  * the (term, sense_id) -> kb entity link table: the inventory joined
+    with the exploded KB profiles (config.kb_profiles), weights summed
+    per (term, sense_id, kb_id); every candidate takes part (no overlap
+    scores 0); ties -> lexicographically smallest kb_id.
 
 Scoring semantics [R, wsid disambiguation]: score(mention, sense) =
 Σ_{tok ∈ window} weight_sense(tok); argmax, ties -> lowest sense_id;
@@ -34,33 +38,53 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..config import MIN_LINK_SCORE, kb_candidates
+from ..config import MIN_LINK_SCORE, kb_profiles
 from ..util import list_row_indices, ragged_ranges
+from .induce import inventory_from_rows
 
 
-def build_link_map(inventory: dict[str, dict[int, dict[str, float]]]
-                   ) -> dict[tuple[str, int], str]:
-    """(term, sense_id) -> kb entity id via profile-overlap argmax."""
-    link: dict[tuple[str, int], str] = {}
-    for term, senses in inventory.items():
-        cands = kb_candidates(term)
-        for sense_id, vec in senses.items():
-            best_kb, best_score = "", -1.0
-            for kb_id in sorted(cands):
-                s = sum(vec.get(tok, 0.0) for tok in cands[kb_id])
-                if s > best_score:
-                    best_kb, best_score = kb_id, s
-            link[(term, sense_id)] = best_kb
-    return link
+def _second_order(inv: pa.Table, edges: pa.Table,
+                  expand_gamma: float) -> pa.Table:
+    """Expansion-mode (term, token, sense_id, weight) rows.  By the
+    oracle's ``expansion_score`` a window token adds, per sense, EITHER
+    its vector weight OR (not in the vector) gamma x its strongest
+    positive NPMI edge into the vector, so these weights fold into the
+    flattened state: <= |edges| x |senses| rows per term."""
+    sym = pa.concat_tables([
+        pa.table({"term": edges["term"], "t_out": edges[a],
+                  "t_in": edges[b], "npmi": edges["npmi"]})
+        for a, b in (("w", "v"), ("v", "w"))])
+    sym = sym.filter(pc.greater(sym["npmi"], 0.0))
+    into = sym.join(inv.select(["term", "token", "sense_id"])
+                    .rename_columns(["term", "t_in", "sense_id"]),
+                    keys=["term", "t_in"], join_type="inner")
+    outside = into.join(inv.select(["term", "sense_id", "token"])
+                        .rename_columns(["term", "sense_id", "t_out"]),
+                        keys=["term", "sense_id", "t_out"],
+                        join_type="left anti")
+    best = outside.group_by(["term", "t_out", "sense_id"]).aggregate(
+        [("npmi", "max")])
+    return pa.table({"term": best["term"], "token": best["t_out"],
+                     "sense_id": best["sense_id"],
+                     "weight": pc.multiply(best["npmi_max"], expand_gamma)})
 
 
-def inventory_from_rows(rows) -> dict[str, dict[int, dict[str, float]]]:
-    """Long-form (term, sense_id, token, weight) rows -> nested dict."""
-    inv: dict[str, dict[int, dict[str, float]]] = {}
-    for r in rows:
-        inv.setdefault(r["term"], {}).setdefault(
-            int(r["sense_id"]), {})[r["token"]] = float(r["weight"])
-    return inv
+def _link_winners(inv: pa.Table) -> pa.Table:
+    """(term, sense_id, kb_id_first): every KB candidate of the term
+    scores the sum of the sense's weights over its profile tokens (0
+    with no overlap); the highest score wins, ties -> smallest kb_id."""
+    kb = kb_profiles()
+    cands = inv.group_by(["term", "sense_id"]).aggregate([]).join(
+        kb.group_by(["term", "kb_id"]).aggregate([]), keys="term")
+    overlap = inv.join(kb, keys=["term", "token"], join_type="inner") \
+        .group_by(["term", "sense_id", "kb_id"]).aggregate(
+            [("weight", "sum")])
+    scored = cands.join(overlap, keys=["term", "sense_id", "kb_id"])
+    scored = scored.append_column(
+        "score", pc.fill_null(scored["weight_sum"], 0.0)).sort_by(
+        [("score", "descending"), ("kb_id", "ascending")])
+    return scored.group_by(["term", "sense_id"], use_threads=False) \
+        .aggregate([("kb_id", "first")])
 
 
 class SenseDisambiguator:
@@ -74,67 +98,42 @@ class SenseDisambiguator:
     Holds only arrays that ``__call__`` reads, so a ``ray.put`` of the
     scorer comes back zero-copy in every task."""
 
-    def __init__(self, inventory: dict, edge_maps: dict | None = None,
+    def __init__(self, inventory: pa.Table, edges: pa.Table | None = None,
                  expand_gamma: float = 0.5):
-        # Flattened lookup for the vectorised scorer: unique
-        # "term\0token" keys (probed with one pc.index_in per batch) →
-        # ragged slices of (sense_id, weight) pairs, since one token can
-        # weigh into several senses of its term.
-        bykey: dict[str, list[tuple[int, float]]] = {}
-        max_sid = 0
-        for term, senses in inventory.items():
-            for sid, vec in senses.items():
-                max_sid = max(max_sid, int(sid))
-                for tok, w in vec.items():
-                    bykey.setdefault(f"{term}\x00{tok}", []).append(
-                        (int(sid), float(w)))
-        # Expansion mode (A2 cooc matrices in state) folds into the SAME
-        # structure (VERDICT r03 item 3): for a given sense, a window
-        # token contributes EITHER its base vector weight (t ∈ vec) OR
-        # gamma x its strongest NPMI edge into the vector (t ∉ vec) —
-        # mutually exclusive by the oracle's expansion_score definition —
-        # so the second-order weights are precomputable per (term, token,
-        # sense) and the per-batch scorer stays one index_in + bincount
-        # fold with no per-mention Python.  State stays vocab-bounded:
-        # ≤ |edges| x |senses| pairs per term.
-        if edge_maps is not None:
-            for term, emap in edge_maps.items():
-                senses = inventory.get(term, {})
-                if not senses:
-                    continue
-                best: dict[tuple[str, int], float] = {}
-                for sid, vec in senses.items():
-                    for (w_tok, v_tok), npmi in emap.items():
-                        for t_out, t_in in ((w_tok, v_tok),
-                                            (v_tok, w_tok)):
-                            if t_out in vec or t_in not in vec:
-                                continue
-                            k = (t_out, int(sid))
-                            if npmi > best.get(k, 0.0):
-                                best[k] = npmi
-                for (tok, sid), b in best.items():
-                    bykey.setdefault(f"{term}\x00{tok}", []).append(
-                        (sid, expand_gamma * b))
-        keys = sorted(bykey)
-        counts = np.array([len(bykey[k]) for k in keys], dtype=np.int64)
-        self.inv_key_arr = pa.array(keys, type=pa.string())
-        self.inv_counts = counts
-        self.inv_starts = (np.concatenate(([0], np.cumsum(counts)))[:-1]
-                           if len(counts) else np.zeros(0, dtype=np.int64))
-        flat_pairs = [p for k in keys for p in bykey[k]]
-        self.inv_sid = np.array([p[0] for p in flat_pairs], dtype=np.int64)
-        self.inv_w = np.array([p[1] for p in flat_pairs], dtype=np.float64)
-        self.n_senses = S = max_sid + 1
+        inv = inventory_from_rows(inventory)
+        pairs = inv.select(["term", "token", "sense_id", "weight"])
+        if edges is not None and inv.num_rows:
+            pairs = pa.concat_tables([pairs, _second_order(
+                inv, edges, expand_gamma).cast(pairs.schema)])
+        # Flattened lookup: sorted unique "term\0token" keys (probed with
+        # one pc.index_in per batch), each over its run of (sense_id,
+        # weight) pairs, since one token can weigh into several senses
+        # of its term.
+        flat = pa.table({
+            "key": pc.binary_join_element_wise(pairs["term"],
+                                               pairs["token"], "\x00"),
+            "sense_id": pairs["sense_id"], "weight": pairs["weight"],
+        }).sort_by([("key", "ascending"), ("sense_id", "ascending")])
+        runs = pc.run_end_encode(flat["key"].combine_chunks())
+        ends = runs.run_ends.to_numpy().astype(np.int64)
+        self.inv_key_arr = runs.values
+        self.inv_counts = np.diff(ends, prepend=0)
+        self.inv_starts = ends - self.inv_counts
+        self.inv_sid = flat["sense_id"].to_numpy().astype(np.int64)
+        self.inv_w = flat["weight"].to_numpy().astype(np.float64)
+        self.n_senses = S = (pc.max(inv["sense_id"]).as_py() or 0) + 1
         # Link table: kb_id of (term, sense_id) at term_code * S +
         # sense_id, with "" in the unused slots and in one trailing slot
         # that unlinked mentions and unknown terms take.
-        terms = sorted(inventory)
-        code = {t: i for i, t in enumerate(terms)}
-        kb = [""] * (len(terms) * S + 1)
-        for (term, sid), kb_id in build_link_map(inventory).items():
-            kb[code[term] * S + int(sid)] = kb_id
-        self.link_terms = pa.array(terms, type=pa.string())
-        self.link_kb = pa.array(kb, type=pa.string())
+        self.link_terms = pc.unique(inv["term"]).sort()
+        win = _link_winners(inv)
+        code = pc.index_in(win["term"], value_set=self.link_terms) \
+            .to_numpy().astype(np.int64)
+        at = np.full(len(self.link_terms) * S + 1, -1, dtype=np.int64)
+        at[code * S + win["sense_id"].to_numpy()] = np.arange(win.num_rows)
+        self.link_kb = pc.fill_null(
+            win["kb_id_first"].take(pa.array(at, mask=at < 0)), "") \
+            .combine_chunks()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -236,24 +235,23 @@ _SCORER_MEMO: dict = {}
 _SCORER_MEMO_MAX = 4
 
 
-def _scorer_ref(inventory_ref, edge_maps_ref, expand_gamma: float):
+def _scorer_ref(inventory_ref, edges_ref, expand_gamma: float):
     key = (inventory_ref.hex(),
-           edge_maps_ref.hex() if edge_maps_ref is not None else None,
+           edges_ref.hex() if edges_ref is not None else None,
            expand_gamma)
     ref = _SCORER_MEMO.get(key)
     if ref is None:
         if len(_SCORER_MEMO) >= _SCORER_MEMO_MAX:
             _SCORER_MEMO.pop(next(iter(_SCORER_MEMO)))
-        edge_maps = (ray.get(edge_maps_ref)
-                     if edge_maps_ref is not None else None)
-        ref = ray.put(SenseDisambiguator(ray.get(inventory_ref), edge_maps,
+        edges = ray.get(edges_ref) if edges_ref is not None else None
+        ref = ray.put(SenseDisambiguator(ray.get(inventory_ref), edges,
                                          expand_gamma))
         _SCORER_MEMO[key] = ref
     return ref
 
 
 def disambiguate(mentions_raw: rd.Dataset, inventory_ref,
-                 edge_maps_ref=None, expand_gamma: float = 0.5,
+                 edges_ref=None, expand_gamma: float = 0.5,
                  state_rows: int | None = None) -> rd.Dataset:
     """Score and link every mention with one scorer built on the driver
     (module docstring) and read back zero-copy by each map task.
@@ -267,7 +265,7 @@ def disambiguate(mentions_raw: rd.Dataset, inventory_ref,
     ``state_rows`` is unused; it is accepted only for callers that still
     pass it (perfbench/traced.py).
     """
-    scorer_ref = _scorer_ref(inventory_ref, edge_maps_ref, expand_gamma)
+    scorer_ref = _scorer_ref(inventory_ref, edges_ref, expand_gamma)
 
     def score(batch: pa.Table) -> pa.Table:
         return ray.get(scorer_ref)(batch)

@@ -10,6 +10,8 @@ It emits one long table: the sense inventory rows (term, sense_id,
 w = token, v = '', weight), plus the pruned edges (term, -1, w, v,
 weight = npmi) when ``expand_cooc`` is on, the way
 ``count_windows_batch`` carries three count kinds in one table.
+``model_tables`` splits it into the fitted model that every later layer
+reads: an ``INVENTORY_SCHEMA`` table and an ``EDGE_SCHEMA`` table.
 
 Partitioning assumption: all rows of a term land in one bucket —
 guaranteed by the hash shuffle.  Terms are the parallelism unit here;
@@ -23,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from ..config import PipelineConfig
@@ -33,6 +36,39 @@ from .groups import bucketed_group_apply
 FIT_SCHEMA = pa.schema([("term", pa.string()), ("sense_id", pa.int32()),
                         ("w", pa.string()), ("v", pa.string()),
                         ("weight", pa.float64())])
+# The fitted model: the sense inventory, rows sorted by (term, sense_id,
+# weight desc, token), and the pruned NPMI edges (w < v).
+INVENTORY_SCHEMA = pa.schema([("term", pa.string()),
+                              ("sense_id", pa.int32()),
+                              ("token", pa.string()),
+                              ("weight", pa.float64())])
+EDGE_SCHEMA = pa.schema([("term", pa.string()), ("w", pa.string()),
+                         ("v", pa.string()), ("npmi", pa.float64())])
+
+
+def inventory_from_rows(rows) -> pa.Table:
+    """A table or a list of (term, sense_id, token, weight) dicts -> an
+    ``INVENTORY_SCHEMA`` table (a stored int64 ``sense_id`` is cast)."""
+    if not isinstance(rows, pa.Table):
+        rows = pa.Table.from_pylist(list(rows), schema=INVENTORY_SCHEMA)
+    return rows.select(INVENTORY_SCHEMA.names).cast(INVENTORY_SCHEMA)
+
+
+def model_tables(fit: pa.Table | None, expand_cooc: bool):
+    """The fit's long table (``FIT_SCHEMA``; None when it is empty) ->
+    (inventory, edges with ``expand_cooc``, else None)."""
+    fit = FIT_SCHEMA.empty_table() if fit is None else fit
+    is_edge = pc.not_equal(fit["v"], "")
+    inv = fit.filter(pc.invert(is_edge))
+    inventory = pa.table([inv["term"], inv["sense_id"], inv["w"],
+                          inv["weight"]], schema=INVENTORY_SCHEMA).sort_by(
+        [("term", "ascending"), ("sense_id", "ascending"),
+         ("weight", "descending"), ("token", "ascending")])
+    if not expand_cooc:
+        return inventory, None
+    e = fit.filter(is_edge)
+    return inventory, pa.table([e["term"], e["w"], e["v"], e["weight"]],
+                               schema=EDGE_SCHEMA)
 
 
 def _term_graph(g: pd.DataFrame):
