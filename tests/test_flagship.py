@@ -191,6 +191,49 @@ def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch,
         assert keyed == []
 
 
+def test_triple_tail_is_two_shuffles(tiny_results, tmp_path, monkeypatch):
+    """Assembly + dedup, and the checkpointed read-back, run no
+    Dataset.union, no pandas map_batches and no groups._to_arrow task:
+    the tail is the turn shuffle and the triple shuffle, nothing else."""
+    import ray.data as rd
+
+    from wsid_ray.pipelines.checkpointed import (run_checkpointed,
+                                                 triples_dataset)
+    from wsid_ray.stages import groups
+    from wsid_ray.stages.triples import dedup_triples, triples_from_mentions
+
+    oracle, art = tiny_results
+    run_checkpointed("tiny", str(tmp_path))
+    seen = []
+    real_union, real_map = rd.Dataset.union, rd.Dataset.map_batches
+
+    def union(self, *a, **kw):
+        seen.append("union")
+        return real_union(self, *a, **kw)
+
+    def map_batches(self, fn, *a, **kw):
+        if kw.get("batch_format") == "pandas":
+            seen.append("pandas map_batches")
+        return real_map(self, fn, *a, **kw)
+
+    class ToArrow:
+        def remote(self, *a):
+            seen.append("_to_arrow")
+            return real_to_arrow.remote(*a)
+
+    real_to_arrow = groups._to_arrow
+    monkeypatch.setattr(rd.Dataset, "union", union)
+    monkeypatch.setattr(rd.Dataset, "map_batches", map_batches)
+    monkeypatch.setattr(groups, "_to_arrow", ToArrow())
+    tri = dedup_triples(triples_from_mentions(
+        art.linked_mentions, art.canon_map)).materialize()
+    back = triples_dataset(str(tmp_path)).materialize()
+    assert seen == []
+    for ds in (tri, back):
+        assert {(r["subj"], r["pred"], r["obj"])
+                for r in ds.take_all()} == oracle["triples"]
+
+
 def test_cooc_expansion_mode_matches_oracle():
     """A2 with co-occurrence matrices in scorer state (expand_cooc):
     engine == oracle on mentions and triples."""

@@ -169,6 +169,70 @@ def test_distinct():
         ("x", 1), ("x", 9), ("y", 2)]
 
 
+def test_combiner_in_split_tasks_matches_one_bucket(monkeypatch):
+    """With the bucket count forced above 1, dedup_triples and distinct
+    equal their one-bucket results (first provenance included), and each
+    split task ships only distinct keys per bucket slice."""
+    import datetime
+
+    import ray
+
+    from wsid_ray.stages import groups
+    from wsid_ray.stages.triples import dedup_triples
+
+    ts = datetime.datetime(2026, 1, 1)
+
+    def block(turns):
+        spo = [("a", "p", "b"), ("a", "p", "c"), ("d", "q", "b")]
+        rows = [(s, p, o, "c1", t) for t in turns for s, p, o in spo]
+        return pa.table({
+            "subj": [r[0] for r in rows], "pred": [r[1] for r in rows],
+            "obj": [r[2] for r in rows], "conv_id": [r[3] for r in rows],
+            "turn_idx": pa.array([r[4] for r in rows], pa.int32()),
+            "ts": pa.array([ts] * len(rows), pa.timestamp("us"))})
+
+    blocks = [block([5, 3]), block([2, 7, 2]), block([4])]
+    spo_blocks = [b.select(["subj", "pred", "obj"]) for b in blocks]
+
+    def rows(ds):
+        return sorted(tuple(r.values()) for r in ds.take_all())
+
+    want = rows(dedup_triples(rd.from_arrow(blocks)))
+    want_distinct = rows(distinct(rd.from_arrow(spo_blocks),
+                                  ["subj", "pred", "obj"]))
+    assert [r[4] for r in want] == [2, 2, 2]
+    assert len(want_distinct) == 3
+
+    slices = []
+    real = groups._split_block
+
+    class Spy:
+        def options(self, **kw):
+            task = real.options(**kw)
+
+            class Launch:
+                def remote(self, *a, **kw):
+                    refs = task.remote(*a, **kw)
+                    slices.extend(refs)
+                    return refs
+            return Launch()
+
+    monkeypatch.setattr(groups, "_split_block", Spy())
+    monkeypatch.setattr(groups, "ROWS_PER_BUCKET", 4)
+    assert rows(dedup_triples(rd.from_arrow(blocks))) == want
+    assert rows(distinct(rd.from_arrow(spo_blocks),
+                         ["subj", "pred", "obj"])) == want_distinct
+    assert len(slices) > 2 * len(blocks)  # B > 1, one split per block
+    shipped = 0
+    for t in ray.get(slices):
+        keys = list(zip(*(t[c].to_pylist()
+                          for c in ("subj", "pred", "obj"))))
+        assert len(keys) == len(set(keys)), keys
+        shipped += len(keys)
+    # each split ships its block's 3 distinct keys, for both calls
+    assert shipped == 2 * 3 * len(blocks)
+
+
 def test_events_rollup_levels():
     import duckdb
 

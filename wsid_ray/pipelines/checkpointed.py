@@ -5,8 +5,9 @@ throughput, timed over the work that builds it (BASELINE.json:6).
   senses, edges, canon   global: the fit's inventory (and its pruned
                          edges with expand_cooc) and the union-find
                          canon map
-  triples/part-<k>       input shard k: linked mentions → assemble →
-                         within-shard dedup, subj-bucketed (S3)
+  triples/part-<k>       input shard k: linked mentions → one turn-keyed
+                         shuffle that assembles every triple → one
+                         within-shard dedup shuffle, subj-bucketed (S3)
 
 A fresh run reads each input file once.  Each shard's mentions are pinned
 for the fit and disambiguation, then its linked mentions for the canon
@@ -22,7 +23,8 @@ fixture generator writes whole conversations per file).
 
 Cross-shard duplicate triples are possible; ``triples_dataset`` applies
 the global set-semantics dedup on read, so a resumed run yields the same
-triple set as an uninterrupted one.
+triple set as an uninterrupted one.  Its read tasks feed that dedup's one
+shuffle directly: each partition is already distinct within its shard.
 """
 
 from __future__ import annotations

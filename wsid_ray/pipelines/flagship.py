@@ -12,7 +12,9 @@
    broadcasts it.
 3. ``linker``: disambiguate + entity-link (A2/A3) the same pinned
    mentions; the linked stream is pinned, as both later steps read it.
-4. ``canon_map`` (union-find, D3), then triple assembly + dedup (M8/D1).
+4. ``canon_map`` (union-find, D3), then two shuffles: one keyed on
+   (conv_id, turn_idx) whose reduces emit every triple of their turns
+   (M8), and the (subj, pred, obj) dedup (D1).
 """
 
 from __future__ import annotations

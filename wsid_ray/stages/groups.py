@@ -24,6 +24,11 @@ blocks — flat in CPU count, no sample/sort barrier.  Ray Data's
 sort-based groupby over the same bucket ids measured 3.8s at 8 CPUs, and
 73s against 8.9s for this engine on 600 blocks x B=100 at 4 CPUs.
 
+A bucket function that is idempotent and commutes with the split (dedup,
+distinct) can run as a combiner inside the split tasks
+(``combine=True``): each then ships its own distinct rows, with no map
+in front of the shuffle.
+
 The driver holds one slice ref per (split task, bucket), so it launches
 G = min(blocks, _TASKS_MAX_REFS // B) split tasks, each over a run of
 consecutive blocks: at most ``_TASKS_MAX_REFS`` slice refs whatever the
@@ -83,10 +88,22 @@ def _concat_nonempty(tables) -> pa.Table | None:
                             promote_options="permissive")
 
 
+def _apply(fn, tb: pa.Table, out_schema) -> pa.Table:
+    """fn over ``tb`` as one pandas frame, cast to ``out_schema`` when
+    given."""
+    res = pa.Table.from_pandas(fn(tb.to_pandas()), preserve_index=False)
+    if out_schema is not None:
+        res = res.select(out_schema.names).cast(out_schema)
+    # drop the pandas schema metadata blob — it defeats Ray's schema
+    # dedup (the dict payload is unhashable)
+    return res.replace_schema_metadata(None)
+
+
 @ray.remote
-def _split_block(key_cols: list[str], num_buckets: int, *tables: pa.Table):
+def _split_block(key_cols: list[str], num_buckets: int, *tables: pa.Table,
+                 combine_fn=None, out_schema=None):
     """blocks -> (bucket_0_slice, ..., bucket_{B-1}_slice) of their
-    concatenation."""
+    concatenation, after ``combine_fn`` over it when given."""
     tb = _concat_nonempty(tables)
     if tb is None:
         tb = tables[0]
@@ -97,6 +114,8 @@ def _split_block(key_cols: list[str], num_buckets: int, *tables: pa.Table):
         return tb
     if tb.num_rows == 0:
         return tuple([tb.slice(0, 0)] * num_buckets)
+    if combine_fn is not None:
+        tb = _apply(combine_fn, tb, out_schema)
     df = tb.select(key_cols).to_pandas()
     h = _bucket_of(df, key_cols, num_buckets)
     order = np.argsort(h, kind="stable")
@@ -162,13 +181,7 @@ def _reduce_bucket(fn, out_schema, empty_schema, *parts):
         if empty_schema is not None:
             return pa.schema(empty_schema).empty_table()
         return parts[0].slice(0, 0)
-    out = fn(tb.to_pandas())
-    res = pa.Table.from_pandas(out, preserve_index=False)
-    if out_schema is not None:
-        res = res.select(out_schema.names).cast(out_schema)
-    # drop the pandas schema metadata blob — it defeats Ray's schema
-    # dedup (the dict payload is unhashable)
-    return res.replace_schema_metadata(None)
+    return _apply(fn, tb, out_schema)
 
 
 def bucketed_group_apply(
@@ -177,6 +190,7 @@ def bucketed_group_apply(
     bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
     num_buckets: int | None = None,
     out_schema: pa.Schema | None = None,
+    combine: bool = False,
 ) -> rd.Dataset:
     """One hash shuffle keyed on hash(key_cols) % B, then ``bucket_fn``
     over each whole bucket (vectorise inside!).  B is derived from the
@@ -185,7 +199,13 @@ def bucketed_group_apply(
 
     ``out_schema``: declared Arrow schema of bucket_fn's output — empty
     buckets emit exactly this schema (no dtype guessing) and non-empty
-    outputs are cast to it, keeping the block stream schema-stable."""
+    outputs are cast to it, keeping the block stream schema-stable.
+
+    ``combine``: ``bucket_fn`` is idempotent and commutes with the split
+    (dedup, distinct), so when B > 1 each split task applies it to its
+    blocks before hashing and ships only its own result (a combiner
+    inside the shuffle, no map in front of it).  At B = 1 only the one
+    reduce runs."""
     blocks, rows = _arrow_blocks(ds)
     if not blocks:  # executed to no blocks at all: nothing to group
         return ds
@@ -202,9 +222,11 @@ def bucketed_group_apply(
         # driver's G x B slice refs under _TASKS_MAX_REFS
         G = max(1, min(len(blocks), _TASKS_MAX_REFS // B))
         cuts = [len(blocks) * g // G for g in range(G + 1)]
+        kw = (dict(combine_fn=bucket_fn, out_schema=out_schema)
+              if combine else {})
         split_refs = [
             _split_block.options(num_returns=B).remote(
-                key_cols, B, *blocks[cuts[g]:cuts[g + 1]])
+                key_cols, B, *blocks[cuts[g]:cuts[g + 1]], **kw)
             for g in range(G)
         ]
     # no driver-side barrier: every reduce is scheduled immediately and
@@ -221,12 +243,11 @@ def bucketed_group_apply(
 def distinct(ds: rd.Dataset, key_cols: list[str],
              num_buckets: int | None = None) -> rd.Dataset:
     """Exact distinct on key_cols (keep first row per key after a
-    deterministic sort on the keys); per-batch partial first."""
+    deterministic sort on the keys); the split tasks combine first."""
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         return (g.sort_values(key_cols, kind="mergesort")
                  .drop_duplicates(subset=key_cols, keep="first"))
-    partial = ds.map_batches(fn, batch_format="pandas", batch_size=None)
-    return bucketed_group_apply(partial, key_cols, fn, num_buckets)
+    return bucketed_group_apply(ds, key_cols, fn, num_buckets, combine=True)
 
 
 def bucketed_sum(partials: rd.Dataset, key_cols: list[str],

@@ -11,14 +11,15 @@ the P/R comparison depends on both sides agreeing):
 
 Only linked mentions (sense_id >= 0) produce triples.
 
-Physical shape:
-  * unary triples (uses_tool / addresses) are a pure vectorised
-    ``map_batches`` — NO shuffle;
-  * pair triples need whole-turn colocation → ONE bucketed shuffle keyed
-    hash(conv_id, turn_idx) (stages/groups.py) and a vectorised pandas
-    self-merge per bucket (SHUFFLE 5a);
-  * dedup is a bucketed shuffle keyed hash(subj,pred,obj) keeping the
-    first provenance by (conv_id, turn_idx) (SHUFFLE 5b).
+Physical shape: two bucketed shuffles (stages/groups.py), nothing
+between or before them.
+  * assembly: ONE shuffle keyed hash(conv_id, turn_idx); each reduce
+    holds whole turns and emits all three predicates with one vectorised
+    pandas pass (a self-merge per bucket for the pairs), so the output is
+    the raw, pre-dedup triple stream (SHUFFLE 5a);
+  * dedup: ONE shuffle keyed hash(subj,pred,obj) keeping the first
+    provenance by (conv_id, turn_idx); when it splits, its split tasks
+    dedup their own blocks first (SHUFFLE 5b).
 
 The canon_map is broadcast (entity-count bounded; a web-scale entity space
 would hash-join mentions⋈canon_map on entity_id instead — SURVEY.md §2.4
@@ -37,8 +38,6 @@ from ..config import PRED_ADDRESSES, PRED_CO_MENTION, PRED_USES_TOOL
 from .groups import bucketed_group_apply
 
 TRIPLE_COLS = ["subj", "pred", "obj", "conv_id", "turn_idx", "ts"]
-_MENTION_COLS = ["conv_id", "turn_idx", "role", "tool", "ts",
-                 "term", "span_start", "entity_id", "sense_id"]
 
 
 def _linked_canon(df: pd.DataFrame, canon: dict[str, str]) -> pd.DataFrame:
@@ -53,71 +52,39 @@ def _linked_canon(df: pd.DataFrame, canon: dict[str, str]) -> pd.DataFrame:
     return df
 
 
-def unary_triples_batch(df: pd.DataFrame, canon: dict[str, str]) -> pd.DataFrame:
-    """uses_tool + addresses triples — stateless, vectorised, no shuffle."""
-    df = _linked_canon(df, canon)
-    addresses = pd.DataFrame({
-        "subj": df["ent"], "pred": PRED_ADDRESSES, "obj": df["role"],
-        "conv_id": df["conv_id"], "turn_idx": df["turn_idx"], "ts": df["ts"],
-    })
-    tooled = df[df["tool"] != ""]
-    uses = pd.DataFrame({
-        "subj": tooled["ent"], "pred": PRED_USES_TOOL, "obj": tooled["tool"],
-        "conv_id": tooled["conv_id"], "turn_idx": tooled["turn_idx"],
-        "ts": tooled["ts"],
-    })
-    out = pd.concat([addresses, uses], ignore_index=True)
-    return _typed(out)
-
-
-def pair_triples_bucket(df: pd.DataFrame, canon: dict[str, str]) -> pd.DataFrame:
-    """co_mentioned_with via a per-bucket self-merge on (conv_id, turn_idx).
+def turn_triples(df: pd.DataFrame, canon: dict[str, str]) -> pd.DataFrame:
+    """Every triple of the whole turns in ``df``, from one sense filter
+    and canon lookup: addresses and uses_tool per mention, and
+    co_mentioned_with per ordered pair of a per-turn self-merge.
 
     Ordering i<j is (span_start, term) lexicographic — matches the oracle.
     """
-    df = _linked_canon(df, canon)[["conv_id", "turn_idx", "ts",
-                                   "span_start", "term", "ent"]]
-    m = df.merge(df, on=["conv_id", "turn_idx"], suffixes=("_i", "_j"))
-    lt = (m["span_start_i"] < m["span_start_j"]) | (
-        (m["span_start_i"] == m["span_start_j"]) & (m["term_i"] < m["term_j"]))
-    m = m[lt & (m["ent_i"] != m["ent_j"])]
-    out = pd.DataFrame({
-        "subj": m["ent_i"], "pred": PRED_CO_MENTION, "obj": m["ent_j"],
-        "conv_id": m["conv_id"], "turn_idx": m["turn_idx"], "ts": m["ts_i"],
-    })
-    return _typed(out)
-
-
-def _typed(df: pd.DataFrame) -> pd.DataFrame:
-    # pin dtypes so empty buckets don't emit null-typed Arrow columns
-    for c in ("subj", "pred", "obj", "conv_id"):
-        df[c] = df[c].astype("string[pyarrow]")
-    df["turn_idx"] = df["turn_idx"].astype("int32")
-    df["ts"] = pd.Series(df["ts"], dtype="datetime64[us]")
-    return df[TRIPLE_COLS]
+    df = _linked_canon(df, canon)
+    tooled = df[df["tool"] != ""]
+    m = df.merge(df[["conv_id", "turn_idx", "span_start", "term", "ent"]],
+                 on=["conv_id", "turn_idx"], suffixes=("", "_j"))
+    lt = (m["span_start"] < m["span_start_j"]) | (
+        (m["span_start"] == m["span_start_j"]) & (m["term"] < m["term_j"]))
+    m = m[lt & (m["ent"] != m["ent_j"])]
+    return pd.concat([
+        df.assign(subj=df["ent"], pred=PRED_ADDRESSES, obj=df["role"]),
+        tooled.assign(subj=tooled["ent"], pred=PRED_USES_TOOL,
+                      obj=tooled["tool"]),
+        m.assign(subj=m["ent"], pred=PRED_CO_MENTION, obj=m["ent_j"]),
+    ], ignore_index=True)[TRIPLE_COLS]
 
 
 def triples_from_mentions(mentions: rd.Dataset,
                           canon: dict[str, str]) -> rd.Dataset:
-    """Linked mentions -> raw (pre-dedup) triples.
+    """Linked mentions -> raw (pre-dedup) triples: one shuffle keyed on
+    (conv_id, turn_idx), each reduce emitting every triple of its turns.
 
-    Both branches emit blocks already conformed to the TRIPLES arrow
-    schema (conform folded INTO the producing map — a separate conform
-    stage would be skipped by Ray on empty input blocks and emit
-    schema-less empties, flapping the stream schema)."""
+    Pairs need the shuffle: a map's output buffer may cut one turn's
+    mentions across two blocks, so no map sees whole turns."""
     from .. import schemas
-    cols = mentions.select_columns(_MENTION_COLS)
-
-    def unary(df: pd.DataFrame) -> pa.Table:
-        return schemas.conform(
-            pa.Table.from_pandas(unary_triples_batch(df, canon),
-                                 preserve_index=False), schemas.TRIPLES)
-
-    pairs = bucketed_group_apply(
-        cols, ["conv_id", "turn_idx"],
-        lambda df: pair_triples_bucket(df, canon),
-        out_schema=schemas.TRIPLES)
-    return cols.map_batches(unary, batch_format="pandas").union(pairs)
+    return bucketed_group_apply(
+        mentions, ["conv_id", "turn_idx"],
+        lambda df: turn_triples(df, canon), out_schema=schemas.TRIPLES)
 
 
 # The sink layout's one constant: its writer and its pruned reader both
@@ -194,17 +161,14 @@ def read_triples_for_subject(root: str, subj: str) -> rd.Dataset:
 def dedup_triples(triples: rd.Dataset) -> rd.Dataset:
     """Exact dedup on (subj,pred,obj); first provenance by (conv, turn).
 
-    Partial-before-shuffle: each batch drops its local duplicates first
-    (keeping its first provenance), so the shuffle moves at most
-    |distinct| rows per block instead of the raw triple stream — the
-    combiner pattern applied to dedup."""
+    One shuffle keyed on the triple, each reduce keeping the first row of
+    each key.  When the shuffle splits, its split tasks run the same
+    function first (``combine``), so each ships only its distinct rows."""
     def fn(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["subj", "pred", "obj", "conv_id", "turn_idx"],
                           kind="mergesort")
         return g.drop_duplicates(subset=["subj", "pred", "obj"],
                                  keep="first")
     from .. import schemas
-    partial = triples.map_batches(fn, batch_format="pandas",
-                                  batch_size=None)
-    return bucketed_group_apply(partial, ["subj", "pred", "obj"], fn,
-                                out_schema=schemas.TRIPLES)
+    return bucketed_group_apply(triples, ["subj", "pred", "obj"], fn,
+                                out_schema=schemas.TRIPLES, combine=True)
