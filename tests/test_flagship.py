@@ -284,3 +284,67 @@ def test_checkpointed_builds_scorer_once_on_driver(tmp_path, monkeypatch):
     monkeypatch.setattr(SenseDisambiguator, "__init__", spy_init)
     run_checkpointed("sf0.001", str(tmp_path), shard_files=1)
     assert built == [os.getpid()]
+
+
+def test_flagship_job_is_one_execution(tmp_path):
+    """After its read, run_flagship passes pinned blocks through raw tasks:
+    one Ray Data execution before it returns, no row-count task, and no
+    block-metadata task but those of the returned triple dataset.  A fresh
+    run_checkpointed runs one execution per shard read plus one per
+    partition write; its resume runs only the lost shard's."""
+    from tools.plan_count import counting
+    from wsid_ray.pipelines.checkpointed import run_checkpointed
+
+    with counting() as c:
+        art = run_flagship("tiny")
+    assert c["executions"] == 1, c
+    assert "_num_rows" not in c["tasks"], c
+    assert c["tasks"].get("get_table_block_metadata_schema", 0) \
+        <= len(art.triples.to_arrow_refs()), c
+
+    out = str(tmp_path / "ckpt")
+    with counting() as fresh:
+        ckpt = run_checkpointed("sf0.001", out, shard_files=2)
+    assert fresh["executions"] == 2 + 2, fresh
+    ckpt.retire_partition("triples", 1)
+    with counting() as resume:
+        run_checkpointed("sf0.001", out, shard_files=2)
+    assert resume["executions"] == 1 + 1, resume
+
+
+def test_empty_corpus(tmp_path, monkeypatch):
+    """Two input files whose turns hold no gazetteer term: run_flagship
+    returns a 0-row inventory, an empty canon map and an empty triple
+    dataset typed as schemas.TRIPLES; run_checkpointed and triples_dataset
+    read back 0 rows."""
+    import datetime
+
+    import pyarrow as pa
+
+    from wsid_ray import schemas
+    from wsid_ray.pipelines import checkpointed
+
+    files = []
+    for f in range(2):
+        n = 6
+        path = str(tmp_path / f"part-{f}.parquet")
+        pq.write_table(pa.table({
+            "conv_id": [f"conv{f}"] * n,
+            "turn_idx": pa.array(range(n), pa.int32()),
+            "role": ["user", "assistant"] * (n // 2),
+            "text": ["and team schedule detail context plan"] * n,
+            "tool": [""] * n,
+            "ts": pa.array([datetime.datetime(2026, 1, 1)] * n,
+                           pa.timestamp("us"))}), path)
+        files.append(path)
+    art = run_flagship("", files=files)
+    assert art.sense_inventory.num_rows == 0
+    assert art.canon_map == {}
+    assert art.triples.count() == 0
+    sch = art.triples.schema()
+    assert pa.schema(list(zip(sch.names, sch.types))) == schemas.TRIPLES
+
+    monkeypatch.setattr(checkpointed, "transcript_files", lambda _s: files)
+    out = str(tmp_path / "ckpt")
+    checkpointed.run_checkpointed("empty", out)
+    assert checkpointed.triples_dataset(out).count() == 0

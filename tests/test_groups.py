@@ -125,29 +125,26 @@ def test_split_inputs_coalesce_under_ref_cap(monkeypatch):
     assert len(launches) * B <= groups._TASKS_MAX_REFS
 
 
-def test_compact_blocks_drops_empty_blocks_without_tasks(monkeypatch):
+def test_compact_blocks_drops_empty_blocks_without_tasks():
     """compact_blocks drops empty blocks using the row counts in the block
-    metadata of its one execution: no per-block row-count task runs.  An
-    all-empty input keeps one typed block."""
+    metadata of its one execution: no task runs but the output dataset's
+    metadata tasks.  An all-empty input keeps one typed block.  A shuffle
+    over the kept blocks takes its row counts from its reduce tasks: they
+    equal the rows of the blocks they came with."""
     import ray
 
-    from wsid_ray.stages import groups
+    from tools.plan_count import counting
+    from wsid_ray.stages.groups import Blocks, shuffle
     from wsid_ray.util import compact_blocks
 
-    launches = []
-    real = groups._num_rows
-
-    class Spy:
-        def remote(self, *a):
-            launches.append(a)
-            return real.remote(*a)
-
-    monkeypatch.setattr(groups, "_num_rows", Spy())
     t = pa.table({"k": ["a", "b", "c"], "v": [1, 2, 3]})
     empty = t.slice(0, 0)
     for tables, n_rows in (([empty, t.slice(0, 2), empty, t.slice(2)], 3),
                            ([empty, empty, empty], 0)):
-        out = compact_blocks(rd.from_arrow_refs([ray.put(x) for x in tables]))
+        ds = rd.from_arrow_refs([ray.put(x) for x in tables])
+        with counting() as c:
+            out = compact_blocks(ds)
+        assert set(c["tasks"]) <= {"get_table_block_metadata_schema"}, c
         blocks = ray.get(out.to_arrow_refs())
         assert sum(b.num_rows for b in blocks) == n_rows
         assert all(b.schema == t.schema for b in blocks)
@@ -156,7 +153,11 @@ def test_compact_blocks_drops_empty_blocks_without_tasks(monkeypatch):
             assert pa.concat_tables(blocks).sort_by("k").equals(t)
         else:
             assert len(blocks) == 1
-    assert launches == []
+        got = shuffle(Blocks.of(ds), ["k"], lambda df: df, num_buckets=4,
+                      out_schema=t.schema)
+        assert got.rows == [b.num_rows for b in ray.get(got.refs)]
+        assert got.num_rows == n_rows
+        assert all(got.rows) or len(got.refs) == 1
 
 
 def test_distinct():

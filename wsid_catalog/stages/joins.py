@@ -21,7 +21,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from wsid_ray.stages.groups import _split_block, drop_empty_refs
+from wsid_ray.stages.groups import Blocks, _split_block, counted_task
 
 
 def _merged_schema(lt: pa.Table, rt: pa.Table, on, suffixes) -> pa.Schema:
@@ -42,7 +42,7 @@ def _merged_schema(lt: pa.Table, rt: pa.Table, on, suffixes) -> pa.Schema:
     return pa.schema(fields)
 
 
-@ray.remote
+@counted_task
 def _join_bucket(on, how, suffixes, n_left, *parts):
     left_parts = [p for p in parts[:n_left] if p.num_rows]
     right_parts = [p for p in parts[n_left:] if p.num_rows]
@@ -97,11 +97,11 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
         outs.append(_join_bucket.remote(on, how, suffixes, len(lsplit),
                                         *parts))
     # empty buckets never reach downstream maps (schema-flap guard —
-    # see groups.drop_empty_refs)
-    return rd.from_arrow_refs(drop_empty_refs(outs))
+    # see groups.Blocks)
+    return Blocks.counted(outs).dataset()
 
 
-@ray.remote
+@counted_task
 def _asof_bucket(by_l, by_r, on_l, on_r, tie_r, suffixes, inner,
                  direction, tolerance, n_left, *parts):
     left_parts = [p for p in parts[:n_left] if p.num_rows]
@@ -180,10 +180,10 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, *,
         outs.append(_asof_bucket.remote(
             by_left, by_right, on_left, on_right, tie_right, suffixes,
             inner, direction, tolerance, len(lsplit), *parts))
-    return rd.from_arrow_refs(drop_empty_refs(outs))
+    return Blocks.counted(outs).dataset()
 
 
-@ray.remote
+@counted_task
 def _pair_bucket(fn, out_schema, n_left, *parts):
     """Concat one bucket's left/right slices and apply fn(ldf, rdf)."""
     out_schema = pa.schema(out_schema)
@@ -231,7 +231,7 @@ def bucketed_pair_apply(left: rd.Dataset, right: rd.Dataset, *,
         parts = [s[b] for s in lsplit] + [s[b] for s in rsplit]
         outs.append(_pair_bucket.remote(fn, out_schema, len(lsplit),
                                         *parts))
-    return rd.from_arrow_refs(drop_empty_refs(outs))
+    return Blocks.counted(outs).dataset()
 
 
 def broadcast_join(big: rd.Dataset, small_df: pd.DataFrame, on: list[str],

@@ -9,22 +9,27 @@ throughput, timed over the work that builds it (BASELINE.json:6).
                          shuffle that assembles every triple → one
                          within-shard dedup shuffle, subj-bucketed (S3)
 
-A fresh run reads each input file once.  Each shard's mentions are pinned
-for the fit and disambiguation, then its linked mentions for the canon
-map and its triples.  The global partitions are one unit: if any is
-missing or stale, all are rebuilt from that one read.  Once they are
-done, a resumed run reads only the shards whose triple partition is
-missing (anti-join J5), each as one fused read→tokenize→detect→
-disambiguate chain.  A triple partition's lineage covers its shard's
-files (path, size and mtime, so an input rewritten in place recomputes)
-and the global lineage; partitions past the last shard of a shrunk
-corpus are retired.  Conversations must not span input files (the
-fixture generator writes whole conversations per file).
+A fresh run reads each input file once, one Ray Data execution per
+shard.  What is pinned: each shard's mentions, as Arrow blocks
+(``stages/groups.Blocks``), for the fit and disambiguation, then its
+linked mentions for the canon map and its triples.  The fit and the
+canon map run as raw tasks over the pinned blocks of all shards, a
+shard's triple shuffles over its own, and each partition write is one
+more execution.  The global partitions are one unit: if any is missing
+or stale, all are rebuilt from that one read.  Once they are done, a
+resumed run reads only the shards whose triple partition is missing
+(anti-join J5), each as one fused read→tokenize→detect→disambiguate
+execution.  A triple partition's lineage covers its shard's files
+(path, size and mtime, so an input rewritten in place recomputes) and
+the global lineage; partitions past the last shard of a shrunk corpus
+are retired.  Conversations must not span input files (the fixture
+generator writes whole conversations per file).
 
 Cross-shard duplicate triples are possible; ``triples_dataset`` applies
 the global set-semantics dedup on read, so a resumed run yields the same
-triple set as an uninterrupted one.  Its read tasks feed that dedup's one
-shuffle directly: each partition is already distinct within its shard.
+triple set as an uninterrupted one.  Its read tasks report their row
+counts and feed that dedup's one shuffle directly: each partition is
+already distinct within its shard.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ import ray.data as rd
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..fixtures import transcript_files
+from ..stages.groups import Blocks
 from ..stages.induce import inventory_from_rows
 from ..stages.triples import (dedup_triples, read_triples_partitioned,
                                triples_from_mentions,
                                write_triples_partitioned)
 from ..state.checkpoint import CheckpointManager, lineage_hash
-from ..util import compact_blocks
 from .flagship import canon_map, fit_model, linker, read_mentions
 
 
@@ -62,8 +67,9 @@ def _stamped(files: list[str]) -> list[str]:
     return stamps
 
 
-def _union(parts: list[rd.Dataset]) -> rd.Dataset:
-    return rd.from_arrow_refs([r for p in parts for r in p.to_arrow_refs()])
+def _union(parts: list[Blocks]) -> Blocks:
+    return Blocks([r for p in parts for r in p.refs],
+                  [n for p in parts for n in p.rows])
 
 
 def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
@@ -93,7 +99,7 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
         ckpt.write_partition(stage, 0, global_lineage, write)
         return got[0]
 
-    linked: dict[int, rd.Dataset] = {}
+    linked: dict[int, Blocks] = {}
     global_stages = ["senses", "canon"] + (["edges"] if cfg.expand_cooc
                                            else [])
     if all(ckpt.is_done(s, 0, global_lineage) for s in global_stages):
@@ -106,10 +112,10 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
                          t["canon_id"].to_pylist()))
         link = linker(inventory, edges, cfg)
     else:
-        mentions: list[rd.Dataset] = []
+        mentions: list[Blocks] = []
 
         def fit():
-            mentions.extend(compact_blocks(read_mentions("", cfg, shard))
+            mentions.extend(Blocks.of(read_mentions("", cfg, shard))
                             for shard in shards)
             model = fit_model(_union(mentions), cfg)
             return model, model[0]
@@ -133,9 +139,9 @@ def run_checkpointed(sf_dir_or_scale: str, out_dir: str,
 
         def write(tmp, k=k, shard=shard):
             ln = (linked.pop(k) if k in linked
-                  else link(read_mentions("", cfg, shard)))
+                  else Blocks.of(link(read_mentions("", cfg, shard))))
             write_triples_partitioned(dedup_triples(
-                triples_from_mentions(ln, canon)), tmp)
+                triples_from_mentions(ln, canon)).dataset(), tmp)
             return _count_parquet(tmp)
         ckpt.write_partition("triples", k, lineage, write)
     return ckpt
@@ -149,4 +155,4 @@ def triples_dataset(out_dir: str) -> rd.Dataset:
         sorted(os.path.join(root, f)
                for root, _, fs in os.walk(ckpt.part_dir("triples", p))
                for f in fs if f.endswith(".parquet"))
-        for p in ckpt.completed_parts("triples")]))
+        for p in ckpt.completed_parts("triples")])).dataset()

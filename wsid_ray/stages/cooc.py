@@ -13,7 +13,7 @@ moves only partial counts, never windows.  Window totals and
 window-unigram counts ride in the same rows encoded as (term, w, '') and
 (term, '', '') — one shuffle for all three count kinds.
 
-The shuffle is keyed on ``term`` alone (stages/groups.bucketed_group_apply),
+The shuffle is keyed on ``term`` alone (stages/groups.shuffle),
 so each reduce holds every count of its terms: totals, unigrams and
 pairs.  NPMI is per term, so the reduce weighs its pairs with
 ``npmi_pairs`` from its own rows — no broadcast, no join across buckets.
@@ -28,9 +28,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data as rd
 
-from .groups import bucketed_group_apply
+from .groups import Blocks, like, map_blocks, shuffle
 
 
 def count_windows_batch(batch: pa.Table) -> pa.Table:
@@ -148,16 +147,16 @@ def count_windows_batch(batch: pa.Table) -> pa.Table:
 
 
 
-def window_partials(mentions: rd.Dataset) -> rd.Dataset:
-    """mentions -> one partial (term, w, v, n) table per block."""
-    # no explicit batch_size: lets the partial-count map fuse with the
+def window_partials(mentions):
+    """mentions (a Dataset or ``Blocks``) -> one partial (term, w, v, n)
+    table per block, of the same kind."""
+    # On a Dataset, a map with no explicit batch_size: it fuses with the
     # upstream ReadParquet->tokenize->detect chain (an explicit size
     # blocks read fusion and ships the decoded corpus through the object
     # store — pipelines/flagship.py detect_mentions note), and makes one
     # partial table per BLOCK instead of per 65k rows, shrinking the
     # shuffle input.
-    return mentions.select_columns(["term", "win_tokens"]).map_batches(
-        count_windows_batch, batch_format="pyarrow")
+    return map_blocks(count_windows_batch, mentions)
 
 
 def sum_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -203,20 +202,21 @@ COUNTS_SCHEMA = pa.schema([("term", pa.string()), ("w", pa.string()),
                            ("v", pa.string()), ("n", pa.int64())])
 
 
-def aggregate_counts(mentions: rd.Dataset) -> rd.Dataset:
+def aggregate_counts(mentions):
     """mentions (term, win_tokens, ...) -> summed (term, w, v, n) counts,
-    over the term-keyed shuffle the fit uses."""
-    return bucketed_group_apply(window_partials(mentions), ["term"],
-                                sum_counts, out_schema=COUNTS_SCHEMA)
+    over the term-keyed shuffle the fit uses (a Dataset or ``Blocks``,
+    as given)."""
+    return like(mentions, shuffle(Blocks.of(window_partials(mentions)),
+                                  ["term"], sum_counts,
+                                  out_schema=COUNTS_SCHEMA))
 
 
-def cooc_edges(mentions: rd.Dataset, min_count: int,
-               npmi_min: float) -> rd.Dataset:
+def cooc_edges(mentions, min_count: int, npmi_min: float):
     """mentions -> pruned (term, w, v, n, pmi, npmi) edges: each reduce
     of the term-keyed shuffle sums its terms' counts and weighs them."""
     def edges(df: pd.DataFrame) -> pd.DataFrame:
         return npmi_pairs(sum_counts(df), min_count,
                           npmi_min)[EDGES_SCHEMA.names]
 
-    return bucketed_group_apply(window_partials(mentions), ["term"], edges,
-                                out_schema=EDGES_SCHEMA)
+    return like(mentions, shuffle(Blocks.of(window_partials(mentions)),
+                                  ["term"], edges, out_schema=EDGES_SCHEMA))

@@ -11,18 +11,28 @@ per-conv folds) hold whatever B is: the bucket count changes the number
 of reduce tasks, never a result.
 
 B is derived from the input: B = max(1, ceil(rows / ROWS_PER_BUCKET)),
-with ``rows`` read from the block metadata of the execution the shuffle
-already runs (no extra pass).  So a reduce task's input stays bounded as
-the data grows, and a small input pays for one reduce task instead of
-tens of near-empty ones (the fixed cost that dominated short jobs).
+with ``rows`` the input's known row count (no extra pass).  So a reduce
+task's input stays bounded as the data grows, and a small input pays for
+one reduce task instead of tens of near-empty ones (the fixed cost that
+dominated short jobs).
 
-One engine, an explicit two-wave hash shuffle on raw Ray tasks over the
-executed input blocks: split tasks cut their blocks into B bucket slices
-(``num_returns=B``), then one reduce task per bucket concatenates its
-slices and applies fn.  ~1.0s at 8 CPUs and ~1.3s at 32 on 1M rows in 32
-blocks — flat in CPU count, no sample/sort barrier.  Ray Data's
-sort-based groupby over the same bucket ids measured 3.8s at 8 CPUs, and
-73s against 8.9s for this engine on 600 blocks x B=100 at 4 CPUs.
+One engine, an explicit two-wave hash shuffle on raw Ray tasks: split
+tasks cut their blocks into B bucket slices (``num_returns=B``), then one
+reduce task per bucket concatenates its slices and applies fn.  ~1.0s at
+8 CPUs and ~1.3s at 32 on 1M rows in 32 blocks — flat in CPU count, no
+sample/sort barrier.  Ray Data's sort-based groupby over the same bucket
+ids measured 3.8s at 8 CPUs, and 73s against 8.9s for this engine on 600
+blocks x B=100 at 4 CPUs.
+
+The engine takes and returns ``Blocks``: executed Arrow block refs, each
+with its row count.  A reduce task returns its row count next to its
+table (``counted_task``), so the next shuffle sizes itself, and empty
+outputs are dropped, with no task and no Ray Data execution in between.
+``map_blocks`` runs a per-block function on ``Blocks`` the same way, one
+raw task per block, so a chain of steps over pinned blocks never pays the
+streaming executor's per-execution latency.  ``Blocks.of`` executes a
+Dataset once; ``Blocks.dataset`` wraps blocks as a Dataset only where a
+caller needs one, and ``bucketed_group_apply`` is the shuffle on Datasets.
 
 A bucket function that is idempotent and commutes with the split (dedup,
 distinct) can run as a combiner inside the split tasks
@@ -37,6 +47,7 @@ block count (one split task per block below the bound).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -53,26 +64,6 @@ def _bucket_of(df: pd.DataFrame, key_cols: list[str],
                num_buckets: int) -> np.ndarray:
     h = pd.util.hash_pandas_object(df[key_cols], index=False)
     return (h % num_buckets).to_numpy()
-
-
-@ray.remote
-def _num_rows(tb: pa.Table) -> int:
-    return tb.num_rows
-
-
-def drop_empty_refs(outs: list) -> list:
-    """Filter empty blocks out of a task-graph output (one tiny metadata
-    task per block, zero-copy by-ref reads).  Ray's streaming executor
-    never calls a map UDF on an empty input block and emits a SCHEMA-LESS
-    empty block instead, which flaps the stream's schema for every
-    downstream operator — so raw-task ops must not surface empty blocks.
-    Keeps one block when all are empty (the dataset needs a schema).
-    Driver-side barrier on the producing tasks — acceptable here because
-    the shuffle already waits for its whole input to execute (the
-    bucket count comes from its row count)."""
-    counts = ray.get([_num_rows.remote(o) for o in outs])
-    keep = [o for o, c in zip(outs, counts) if c]
-    return keep if keep else outs[:1]
 
 
 def _concat_nonempty(tables) -> pa.Table | None:
@@ -137,17 +128,84 @@ def _to_arrow(block) -> pa.Table:
     return BlockAccessor.for_block(block).to_arrow()
 
 
-def _arrow_blocks(ds: rd.Dataset) -> tuple[list, list[int]]:
-    """Execute ``ds`` once: its blocks as Arrow table refs (as
-    ``to_arrow_refs`` returns them) and each block's row count, read from
-    the block metadata of that execution."""
-    refs, rows = [], []
-    for bundle in ds.iter_internal_ref_bundles():
-        arrow = isinstance(bundle.schema, pa.Schema)
-        for ref, meta in bundle.blocks:
-            refs.append(ref if arrow else _to_arrow.remote(ref))
-            rows.append(meta.num_rows)
-    return refs, rows
+def counted_task(fn):
+    """``fn`` (-> pa.Table) as a Ray task that also returns the table's
+    row count: ``.remote()`` gives a (table ref, row-count ref) pair, the
+    input of ``Blocks.counted``."""
+    @functools.wraps(fn)
+    def run(*args):
+        out = fn(*args)
+        return out, out.num_rows
+    return ray.remote(num_returns=2)(run)
+
+
+class Blocks:
+    """Executed Arrow blocks: their refs and each one's row count.
+
+    No block is empty, except that one typed block stays when all of
+    them are: a Dataset built from them needs a schema, and Ray Data's
+    executor hands later maps a schema-less empty block instead of calling
+    them on an empty input."""
+
+    def __init__(self, refs: list, rows: list[int]):
+        keep = [i for i, n in enumerate(rows) if n]
+        if not keep and refs:
+            keep = [0]
+        self.refs = [refs[i] for i in keep]
+        self.rows = [rows[i] for i in keep]
+
+    @classmethod
+    def of(cls, data) -> "Blocks":
+        """``data`` as Blocks: Blocks as they are; a Dataset executed
+        once, with the row counts of that execution's block metadata
+        (``Dataset.to_arrow_refs()`` would run the plan a second time to
+        fetch the schema, re-reading input files)."""
+        if isinstance(data, Blocks):
+            return data
+        refs, rows = [], []
+        for bundle in data.iter_internal_ref_bundles():
+            arrow = isinstance(bundle.schema, pa.Schema)
+            for ref, meta in bundle.blocks:
+                refs.append(ref if arrow else _to_arrow.remote(ref))
+                rows.append(meta.num_rows)
+        return cls(refs, rows)
+
+    @classmethod
+    def counted(cls, outs) -> "Blocks":
+        """The outputs of ``counted_task`` launches: one driver wait on
+        their row counts."""
+        outs = list(outs)
+        return cls([o[0] for o in outs], ray.get([o[1] for o in outs]))
+
+    @property
+    def num_rows(self) -> int:
+        return sum(self.rows)
+
+    def dataset(self) -> rd.Dataset:
+        return rd.from_arrow_refs(self.refs)
+
+
+def like(data, blocks: Blocks):
+    """``blocks`` as the kind of ``data``: Blocks for Blocks, a Dataset
+    for a Dataset.  Stages take either and return what they were given."""
+    return blocks if isinstance(data, Blocks) else blocks.dataset()
+
+
+@counted_task
+def _map_block(fn, tb: pa.Table, *args) -> pa.Table:
+    return fn(tb, *args)
+
+
+def map_blocks(fn, data, *args):
+    """``fn(table, *args) -> table`` over every block of ``data``.  On
+    Blocks: one raw task per block, and a ``ray.put`` ref in ``args``
+    arrives resolved (zero-copy for Arrow and numpy).  On a Dataset: a
+    lazy ``map_batches`` that fuses with its upstream, ``args`` passed
+    as they are."""
+    if isinstance(data, Blocks):
+        return Blocks.counted(_map_block.remote(fn, r, *args)
+                              for r in data.refs)
+    return data.map_batches(fn, fn_args=args or None, batch_format="pyarrow")
 
 
 def _probe_out_schema(bucket_fn, in_schema: pa.Schema) -> pa.Schema | None:
@@ -168,7 +226,7 @@ def _probe_out_schema(bucket_fn, in_schema: pa.Schema) -> pa.Schema | None:
                       for f in tb.schema])
 
 
-@ray.remote
+@counted_task
 def _reduce_bucket(fn, out_schema, empty_schema, *parts):
     if out_schema is not None:
         out_schema = pa.schema(out_schema)  # may arrive serialized
@@ -184,17 +242,17 @@ def _reduce_bucket(fn, out_schema, empty_schema, *parts):
     return _apply(fn, tb, out_schema)
 
 
-def bucketed_group_apply(
-    ds: rd.Dataset,
+def shuffle(
+    blocks: Blocks,
     key_cols: list[str],
     bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
     num_buckets: int | None = None,
     out_schema: pa.Schema | None = None,
     combine: bool = False,
-) -> rd.Dataset:
+) -> Blocks:
     """One hash shuffle keyed on hash(key_cols) % B, then ``bucket_fn``
     over each whole bucket (vectorise inside!).  B is derived from the
-    row count of ``ds`` (module docstring) unless ``num_buckets`` is
+    row count of ``blocks`` (module docstring) unless ``num_buckets`` is
     given.
 
     ``out_schema``: declared Arrow schema of bucket_fn's output — empty
@@ -206,38 +264,49 @@ def bucketed_group_apply(
     blocks before hashing and ships only its own result (a combiner
     inside the shuffle, no map in front of it).  At B = 1 only the one
     reduce runs."""
-    blocks, rows = _arrow_blocks(ds)
-    if not blocks:  # executed to no blocks at all: nothing to group
-        return ds
-    B = num_buckets or max(1, -(-sum(rows) // ROWS_PER_BUCKET))
+    refs = blocks.refs
+    if not refs:  # no blocks at all: nothing to group
+        return blocks
+    B = num_buckets or max(1, -(-blocks.num_rows // ROWS_PER_BUCKET))
     empty_schema = None
     if out_schema is None:
         # one probe per pipeline build, reused by every empty bucket
         empty_schema = _probe_out_schema(
-            bucket_fn, ray.get(_block_schema.remote(blocks[0])))
+            bucket_fn, ray.get(_block_schema.remote(refs[0])))
     if B == 1:  # nothing to split: the one reduce reads every block
-        split_refs = [[b] for b in blocks]
+        split_refs = [[r] for r in refs]
     else:
         # G split tasks over runs of consecutive blocks keep the
         # driver's G x B slice refs under _TASKS_MAX_REFS
-        G = max(1, min(len(blocks), _TASKS_MAX_REFS // B))
-        cuts = [len(blocks) * g // G for g in range(G + 1)]
+        G = max(1, min(len(refs), _TASKS_MAX_REFS // B))
+        cuts = [len(refs) * g // G for g in range(G + 1)]
         kw = (dict(combine_fn=bucket_fn, out_schema=out_schema)
               if combine else {})
         split_refs = [
             _split_block.options(num_returns=B).remote(
-                key_cols, B, *blocks[cuts[g]:cuts[g + 1]], **kw)
+                key_cols, B, *refs[cuts[g]:cuts[g + 1]], **kw)
             for g in range(G)
         ]
-    # no driver-side barrier: every reduce is scheduled immediately and
-    # starts as soon as its B input slices exist; all-empty buckets
-    # return a typed empty table (schema-stable, cheap)
-    outs = [
+    # every reduce is scheduled at once and starts as soon as its B input
+    # slices exist; the one driver wait is on their row counts
+    return Blocks.counted(
         _reduce_bucket.remote(bucket_fn, out_schema, empty_schema,
                               *[sr[b] for sr in split_refs])
-        for b in range(B)
-    ]
-    return rd.from_arrow_refs(drop_empty_refs(outs))
+        for b in range(B))
+
+
+def bucketed_group_apply(ds: rd.Dataset, key_cols: list[str],
+                         bucket_fn: Callable[[pd.DataFrame], pd.DataFrame],
+                         num_buckets: int | None = None,
+                         out_schema: pa.Schema | None = None,
+                         combine: bool = False) -> rd.Dataset:
+    """``shuffle`` on a Dataset: ``ds`` executed once, the result wrapped
+    as a Dataset (``ds`` itself if it executed to no blocks at all)."""
+    blocks = Blocks.of(ds)
+    if not blocks.refs:
+        return ds
+    return shuffle(blocks, key_cols, bucket_fn, num_buckets, out_schema,
+                   combine).dataset()
 
 
 def distinct(ds: rd.Dataset, key_cols: list[str],

@@ -31,7 +31,7 @@ import ray.data as rd
 from ..config import PipelineConfig
 from ..cw import cluster_graph, quantize_weight, sense_vectors
 from .cooc import npmi_pairs, sum_counts, window_partials
-from .groups import bucketed_group_apply
+from .groups import Blocks, bucketed_group_apply, shuffle
 
 FIT_SCHEMA = pa.schema([("term", pa.string()), ("sense_id", pa.int32()),
                         ("w", pa.string()), ("v", pa.string()),
@@ -91,9 +91,10 @@ def induce_group(g: pd.DataFrame, top_k: int, algo: str,
                                         key=lambda kv: (-kv[1], kv[0]))]
 
 
-def fit_senses(mentions: rd.Dataset, cfg: PipelineConfig) -> rd.Dataset:
-    """mentions -> the fit's long table (``FIT_SCHEMA``, module
-    docstring): one term-keyed shuffle over the count partials."""
+def fit_senses(mentions, cfg: PipelineConfig) -> Blocks:
+    """mentions (a Dataset or ``Blocks``) -> the fit's long table
+    (``FIT_SCHEMA``, module docstring) as ``Blocks``: one term-keyed
+    shuffle over the count partials."""
     def fit_bucket(df: pd.DataFrame) -> pd.DataFrame:
         edges = npmi_pairs(sum_counts(df), cfg.cooc_min_count, cfg.npmi_min)
         rows = [(t, s, tok, "", x)
@@ -105,8 +106,8 @@ def fit_senses(mentions: rd.Dataset, cfg: PipelineConfig) -> rd.Dataset:
                         edges["v"], edges["npmi"])
         return pd.DataFrame(rows, columns=FIT_SCHEMA.names)
 
-    return bucketed_group_apply(window_partials(mentions), ["term"],
-                                fit_bucket, out_schema=FIT_SCHEMA)
+    return shuffle(Blocks.of(window_partials(mentions)), ["term"],
+                   fit_bucket, out_schema=FIT_SCHEMA)
 
 
 def sense_modularity(edges: rd.Dataset, algo: str = "cw") -> rd.Dataset:

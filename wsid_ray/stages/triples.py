@@ -11,8 +11,12 @@ the P/R comparison depends on both sides agreeing):
 
 Only linked mentions (sense_id >= 0) produce triples.
 
-Physical shape: two bucketed shuffles (stages/groups.py), nothing
-between or before them.
+Physical shape: two bucketed shuffles (stages/groups.shuffle), nothing
+between or before them.  On pinned ``Blocks`` (the flagship and
+checkpointed pipelines, and the checkpoint read-back) both are raw tasks
+end to end: no Ray Data execution runs, and each shuffle sizes itself
+from the row counts its input's tasks reported.  A Dataset input is
+executed once and the result is a Dataset again.
   * assembly: ONE shuffle keyed hash(conv_id, turn_idx); each reduce
     holds whole turns and emits all three predicates with one vectorised
     pandas pass (a self-merge per bucket for the pairs), so the output is
@@ -35,7 +39,7 @@ import ray
 import ray.data as rd
 
 from ..config import PRED_ADDRESSES, PRED_CO_MENTION, PRED_USES_TOOL
-from .groups import bucketed_group_apply
+from .groups import Blocks, counted_task, like, shuffle
 
 TRIPLE_COLS = ["subj", "pred", "obj", "conv_id", "turn_idx", "ts"]
 
@@ -74,17 +78,17 @@ def turn_triples(df: pd.DataFrame, canon: dict[str, str]) -> pd.DataFrame:
     ], ignore_index=True)[TRIPLE_COLS]
 
 
-def triples_from_mentions(mentions: rd.Dataset,
-                          canon: dict[str, str]) -> rd.Dataset:
+def triples_from_mentions(mentions, canon: dict[str, str]):
     """Linked mentions -> raw (pre-dedup) triples: one shuffle keyed on
-    (conv_id, turn_idx), each reduce emitting every triple of its turns.
+    (conv_id, turn_idx), each reduce emitting every triple of its turns
+    (a Dataset or ``Blocks``, as given).
 
     Pairs need the shuffle: a map's output buffer may cut one turn's
     mentions across two blocks, so no map sees whole turns."""
     from .. import schemas
-    return bucketed_group_apply(
-        mentions, ["conv_id", "turn_idx"],
-        lambda df: turn_triples(df, canon), out_schema=schemas.TRIPLES)
+    return like(mentions, shuffle(
+        Blocks.of(mentions), ["conv_id", "turn_idx"],
+        lambda df: turn_triples(df, canon), out_schema=schemas.TRIPLES))
 
 
 # The sink layout's one constant: its writer and its pruned reader both
@@ -120,7 +124,7 @@ def write_triples_partitioned(ds: rd.Dataset, out_dir: str) -> None:
         out_dir, partition_cols=["subj_bucket"])
 
 
-@ray.remote
+@counted_task
 def _read_sink_files(paths: list[str]) -> pa.Table:
     from .. import schemas
     return pa.concat_tables([
@@ -128,9 +132,11 @@ def _read_sink_files(paths: list[str]) -> pa.Table:
         for p in paths])
 
 
-def read_triples_partitioned(parts: list[list[str]]) -> rd.Dataset:
+def read_triples_partitioned(parts: list[list[str]]) -> Blocks:
     """Read sinks written by ``write_triples_partitioned``: one read task
-    and one block per list of files (a checkpoint partition).
+    and one block per list of files (a checkpoint partition), each task
+    reporting its row count, so the blocks feed the dedup shuffle with no
+    Ray Data execution or metadata task in front of it.
 
     The sink holds one file per (written block, subject bucket).  The
     dedup sizes its shuffle from its input, so a 12k-turn batch's
@@ -141,9 +147,9 @@ def read_triples_partitioned(parts: list[list[str]]) -> rd.Dataset:
     partitions took 2.8-4.5 s that way, varying from one call to the
     next, and a steady 0.6-0.7 s with these tasks."""
     from .. import schemas
-    refs = [_read_sink_files.remote(p) for p in parts if p]
-    return (rd.from_arrow_refs(refs) if refs
-            else rd.from_arrow(schemas.TRIPLES.empty_table()))
+    if not any(parts):
+        return Blocks([ray.put(schemas.TRIPLES.empty_table())], [0])
+    return Blocks.counted(_read_sink_files.remote(p) for p in parts if p)
 
 
 def read_triples_for_subject(root: str, subj: str) -> rd.Dataset:
@@ -158,8 +164,9 @@ def read_triples_for_subject(root: str, subj: str) -> rd.Dataset:
         batch_format="pyarrow")
 
 
-def dedup_triples(triples: rd.Dataset) -> rd.Dataset:
-    """Exact dedup on (subj,pred,obj); first provenance by (conv, turn).
+def dedup_triples(triples):
+    """Exact dedup on (subj,pred,obj); first provenance by (conv, turn)
+    (a Dataset or ``Blocks``, as given).
 
     One shuffle keyed on the triple, each reduce keeping the first row of
     each key.  When the shuffle splits, its split tasks run the same
@@ -170,5 +177,6 @@ def dedup_triples(triples: rd.Dataset) -> rd.Dataset:
         return g.drop_duplicates(subset=["subj", "pred", "obj"],
                                  keep="first")
     from .. import schemas
-    return bucketed_group_apply(triples, ["subj", "pred", "obj"], fn,
-                                out_schema=schemas.TRIPLES, combine=True)
+    return like(triples, shuffle(Blocks.of(triples), ["subj", "pred", "obj"],
+                                 fn, out_schema=schemas.TRIPLES,
+                                 combine=True))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
 from ray.data.aggregate import Min
 
@@ -144,9 +145,10 @@ def driver_union_find(pairs: list[tuple[str, str]]) -> dict[str, str]:
 DRIVER_EDGE_THRESHOLD = 1_000_000
 
 
-def canonicalize(entity_kb_edges: rd.Dataset,
-                 driver_threshold: int = DRIVER_EDGE_THRESHOLD) -> rd.Dataset:
-    """(entity_id, kb_id) edges -> canon_map (entity_id, canon_id).
+def canonicalize(entity_kb_edges,
+                 driver_threshold: int = DRIVER_EDGE_THRESHOLD):
+    """(entity_id, kb_id) edges -> canon_map (entity_id, canon_id), as a
+    Dataset or ``Blocks``, the kind of ``entity_kb_edges``.
 
     canon_id = lexicographically smallest *entity* node of the component
     (kb: nodes link components but are not canonical ids themselves).
@@ -157,11 +159,13 @@ def canonicalize(entity_kb_edges: rd.Dataset,
     driver wins outright (the distributed rounds pay ≥2 shuffles each);
     above it, the hash-to-min groupby-aggregate rounds
     (``connected_components``) run — same result, proven by
-    tests/test_unionfind.py on both paths.
+    tests/test_unionfind.py on both paths.  The edge count is the row
+    count of the executed (or pinned) edges, with no pass of its own.
     """
     from ..util import collect_rows
-    edges = entity_kb_edges.materialize()
-    if edges.count() <= driver_threshold:
+    from .groups import Blocks, like, shuffle
+    edges = Blocks.of(entity_kb_edges)
+    if edges.num_rows <= driver_threshold:
         pairs = [(r["entity_id"], r["kb_id"]) for r in collect_rows(edges)]
         comp_of = driver_union_find(pairs)
         comps: dict[str, list[str]] = {}
@@ -173,13 +177,15 @@ def canonicalize(entity_kb_edges: rd.Dataset,
             for e in entities:
                 ent_col.append(e)
                 canon_col.append(entities[0])
-        return rd.from_arrow(pa.table({
+        canon = pa.table({
             "entity_id": pa.array(ent_col, type=pa.string()),
             "canon_id": pa.array(canon_col, type=pa.string()),
-        }))
+        })
+        return like(entity_kb_edges,
+                    Blocks([ray.put(canon)], [canon.num_rows]))
 
     comps = connected_components(
-        edges.map_batches(
+        edges.dataset().map_batches(
             lambda t: pa.table({"u": t["entity_id"], "v": t["kb_id"]}),
             batch_format="pyarrow"))
 
@@ -190,8 +196,7 @@ def canonicalize(entity_kb_edges: rd.Dataset,
         return pd.DataFrame({"entity_id": df["node"].to_numpy(),
                              "canon_id": canon.to_numpy()})
 
-    from .groups import bucketed_group_apply
-    return bucketed_group_apply(
-        comps, ["comp"], per_bucket,
+    return like(entity_kb_edges, shuffle(
+        Blocks.of(comps), ["comp"], per_bucket,
         out_schema=pa.schema([("entity_id", pa.string()),
-                              ("canon_id", pa.string())]))
+                              ("canon_id", pa.string())])))

@@ -14,8 +14,9 @@ import numpy as np
 import pyarrow as pa
 
 
-def collect_table(ds) -> pa.Table:
-    """Materialise a (small) Dataset to one Arrow table on the driver.
+def collect_table(data) -> pa.Table:
+    """Materialise a (small) Dataset or ``Blocks`` to one Arrow table on
+    the driver (None when it has no rows).
 
     ``Dataset.take_all()`` iterates rows through the block accessor, which
     for pandas-backed blocks costs one ``.iloc`` per row (measured: 113 s
@@ -24,39 +25,20 @@ def collect_table(ds) -> pa.Table:
     """
     import ray
 
-    from .stages.groups import _arrow_blocks
-    tables = [t for t in ray.get(_arrow_blocks(ds)[0]) if t.num_rows]
-    if not tables:
-        return None
-    names = tables[0].schema.names
-    return pa.concat_tables([t.select(names) for t in tables],
-                            promote_options="permissive")
+    from .stages.groups import Blocks, _concat_nonempty
+    return _concat_nonempty(ray.get(Blocks.of(data).refs))
 
 
-def collect_rows(ds) -> list[dict]:
-    t = collect_table(ds)
+def collect_rows(data) -> list[dict]:
+    t = collect_table(data)
     return t.to_pylist() if t is not None else []
 
 
 def compact_blocks(ds) -> "object":
-    """Materialise a Dataset as Arrow blocks with empty blocks dropped.
-
-    Ray's streaming executor skips map UDFs on empty input blocks and
-    emits SCHEMA-LESS empty blocks, flapping downstream schema tracking —
-    so pinned intermediates that fan out into further maps go through
-    this instead of bare ``materialize()`` (keeps one block when all are
-    empty).
-
-    The refs and their row counts come from ``_arrow_blocks``, one
-    execution of ``ds``: ``Dataset.to_arrow_refs()`` would run the plan
-    a second time under ``limit(1)`` to fetch the schema, re-reading
-    input files."""
-    import ray.data as rd
-
-    from .stages.groups import _arrow_blocks
-    refs, rows = _arrow_blocks(ds)
-    keep = [r for r, n in zip(refs, rows) if n]
-    return rd.from_arrow_refs(keep or refs[:1])
+    """A Dataset executed once and pinned as Arrow blocks, empty blocks
+    dropped (``groups.Blocks``)."""
+    from .stages.groups import Blocks
+    return Blocks.of(ds).dataset()
 
 
 def stable_hash64(value: str | bytes) -> int:
