@@ -289,7 +289,7 @@ def test_checkpointed_builds_scorer_once_on_driver(tmp_path, monkeypatch):
 def test_flagship_job_is_one_execution(tmp_path):
     """After its read, run_flagship passes pinned blocks through raw tasks:
     one Ray Data execution before it returns, no row-count task, and no
-    block-metadata task but those of the returned triple dataset.  A fresh
+    block-metadata task but those of its two returned datasets.  A fresh
     run_checkpointed runs one execution per shard read plus one per
     partition write; its resume runs only the lost shard's."""
     from tools.plan_count import counting
@@ -300,7 +300,8 @@ def test_flagship_job_is_one_execution(tmp_path):
     assert c["executions"] == 1, c
     assert "_num_rows" not in c["tasks"], c
     assert c["tasks"].get("get_table_block_metadata_schema", 0) \
-        <= len(art.triples.to_arrow_refs()), c
+        <= len(art.linked_mentions.to_arrow_refs()) \
+        + len(art.triples.to_arrow_refs()), c
 
     out = str(tmp_path / "ckpt")
     with counting() as fresh:

@@ -16,10 +16,10 @@ Usage::
     python tools/plan_count.py                          # tiny, 1 CPU
     python tools/plan_count.py --scale sf0.001 --shard-files 2
     python tools/plan_count.py --files a.parquet b.parquet   # flagship only
-    python tools/plan_count.py --num-cpus 4 --warm 1
+    python tools/plan_count.py --num-cpus 4
 
-``--warm`` runs that many uncounted flagship jobs first, so the counts
-are those of a warm session (the first job also starts the workers).
+One uncounted flagship job runs first, so the counts are those of a warm
+session (the first job also starts the workers).
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def main() -> None:
                     help="flagship input files (skips the checkpointed runs)")
     ap.add_argument("--shard-files", type=int, default=1)
     ap.add_argument("--num-cpus", type=int, default=1)
-    ap.add_argument("--warm", type=int, default=1)
     args = ap.parse_args()
 
     import ray
@@ -88,8 +87,7 @@ def main() -> None:
     configure(quiet=True)
 
     source = "" if args.files else args.scale
-    for _ in range(args.warm):
-        run_flagship(source, files=args.files).triples.take_all()
+    run_flagship(source, files=args.files).triples.take_all()  # warm-up
     report: dict = {"input": args.files or args.scale}
     with counting() as report["flagship"]:
         art = run_flagship(source, files=args.files)

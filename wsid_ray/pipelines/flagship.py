@@ -6,8 +6,8 @@ The read is the job's one Ray Data execution.  Every later step passes
 the pinned Arrow blocks, with their row counts, through raw Ray tasks
 (``stages/groups.Blocks``: ``map_blocks`` and the bucketed shuffle), so
 no step pays the streaming executor's per-execution latency; a Dataset
-is built only for the returned triples (and for the linked mentions
-when a caller reads them).
+is built only for the two returned artifacts, the linked mentions and
+the triples.
 
 1. ``read_mentions``: read → tokenize (M1/M2) → detect mentions + windows
    (A1/M4), one fused operator, so each input file is read once; its
@@ -29,7 +29,6 @@ when a caller reads them).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import pyarrow as pa
@@ -50,15 +49,9 @@ from ..stages.unionfind import canonicalize
 @dataclass
 class FlagshipArtifacts:
     sense_inventory: pa.Table
-    linked: Blocks
+    linked_mentions: rd.Dataset
     canon_map: dict[str, str]
     triples: rd.Dataset
-
-    @functools.cached_property
-    def linked_mentions(self) -> rd.Dataset:
-        """The linked mentions as a Dataset, built on first read: the job
-        itself never needs one."""
-        return self.linked.dataset()
 
 
 def detect_mentions(turns: rd.Dataset, cfg: PipelineConfig) -> rd.Dataset:
@@ -160,7 +153,7 @@ def run_flagship(sf_dir_or_scale: str,
     canon = canon_map(linked)
     return FlagshipArtifacts(
         sense_inventory=inventory,
-        linked=linked,
+        linked_mentions=linked.dataset(),
         canon_map=canon,
         triples=dedup_triples(triples_from_mentions(linked, canon)).dataset(),
     )

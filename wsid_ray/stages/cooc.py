@@ -13,7 +13,7 @@ moves only partial counts, never windows.  Window totals and
 window-unigram counts ride in the same rows encoded as (term, w, '') and
 (term, '', '') — one shuffle for all three count kinds.
 
-The shuffle is keyed on ``term`` alone (stages/groups.shuffle),
+The shuffle is keyed on ``term`` alone (stages/groups.bucketed_group_apply),
 so each reduce holds every count of its terms: totals, unigrams and
 pairs.  NPMI is per term, so the reduce weighs its pairs with
 ``npmi_pairs`` from its own rows — no broadcast, no join across buckets.
@@ -28,8 +28,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray.data as rd
 
-from .groups import Blocks, like, map_blocks, shuffle
+from .groups import bucketed_group_apply, map_blocks
 
 
 def count_windows_batch(batch: pa.Table) -> pa.Table:
@@ -202,21 +203,20 @@ COUNTS_SCHEMA = pa.schema([("term", pa.string()), ("w", pa.string()),
                            ("v", pa.string()), ("n", pa.int64())])
 
 
-def aggregate_counts(mentions):
+def aggregate_counts(mentions: rd.Dataset) -> rd.Dataset:
     """mentions (term, win_tokens, ...) -> summed (term, w, v, n) counts,
-    over the term-keyed shuffle the fit uses (a Dataset or ``Blocks``,
-    as given)."""
-    return like(mentions, shuffle(Blocks.of(window_partials(mentions)),
-                                  ["term"], sum_counts,
-                                  out_schema=COUNTS_SCHEMA))
+    over the term-keyed shuffle the fit uses."""
+    return bucketed_group_apply(window_partials(mentions), ["term"],
+                                sum_counts, out_schema=COUNTS_SCHEMA)
 
 
-def cooc_edges(mentions, min_count: int, npmi_min: float):
+def cooc_edges(mentions: rd.Dataset, min_count: int,
+               npmi_min: float) -> rd.Dataset:
     """mentions -> pruned (term, w, v, n, pmi, npmi) edges: each reduce
     of the term-keyed shuffle sums its terms' counts and weighs them."""
     def edges(df: pd.DataFrame) -> pd.DataFrame:
         return npmi_pairs(sum_counts(df), min_count,
                           npmi_min)[EDGES_SCHEMA.names]
 
-    return like(mentions, shuffle(Blocks.of(window_partials(mentions)),
-                                  ["term"], edges, out_schema=EDGES_SCHEMA))
+    return bucketed_group_apply(window_partials(mentions), ["term"], edges,
+                                out_schema=EDGES_SCHEMA)

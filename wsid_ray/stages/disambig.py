@@ -39,7 +39,7 @@ import ray
 
 from ..config import MIN_LINK_SCORE, kb_profiles
 from ..util import list_row_indices, ragged_ranges
-from .groups import Blocks, map_blocks
+from .groups import map_blocks
 from .induce import inventory_from_rows
 
 
@@ -250,10 +250,6 @@ def _scorer_ref(inventory_ref, edges_ref, expand_gamma: float):
     return ref
 
 
-def _score(batch: pa.Table, scorer: SenseDisambiguator) -> pa.Table:
-    return scorer(batch)
-
-
 def disambiguate(mentions_raw, inventory_ref, edges_ref=None,
                  expand_gamma: float = 0.5, state_rows: int | None = None):
     """Score and link every mention with one scorer built on the driver
@@ -264,18 +260,16 @@ def disambiguate(mentions_raw, inventory_ref, edges_ref=None,
     uses every free CPU.  No explicit batch_size: an explicit size blocks
     Ray Data's read fusion and forces the decoded corpus through the
     object store (pipelines/flagship.py detect_mentions note).  On
-    ``Blocks`` (mentions already pinned) it is one raw task per block,
-    the scorer ref passed as a task argument: no Ray Data execution.
-    Either way every call with the same model shares one scorer.
+    ``Blocks`` (mentions already pinned) the same map is one raw task
+    per block (``groups.map_blocks``): no Ray Data execution.  Either
+    way every call with the same model shares one scorer.
 
     ``state_rows`` is unused; it is accepted only for callers that still
     pass it (perfbench/traced.py).
     """
     scorer_ref = _scorer_ref(inventory_ref, edges_ref, expand_gamma)
-    if isinstance(mentions_raw, Blocks):
-        return map_blocks(_score, mentions_raw, scorer_ref)
 
     def score(batch: pa.Table) -> pa.Table:
         return ray.get(scorer_ref)(batch)
 
-    return mentions_raw.map_batches(score, batch_format="pyarrow")
+    return map_blocks(score, mentions_raw)

@@ -192,20 +192,17 @@ def like(data, blocks: Blocks):
 
 
 @counted_task
-def _map_block(fn, tb: pa.Table, *args) -> pa.Table:
-    return fn(tb, *args)
+def _map_block(fn, tb: pa.Table) -> pa.Table:
+    return fn(tb)
 
 
-def map_blocks(fn, data, *args):
-    """``fn(table, *args) -> table`` over every block of ``data``.  On
-    Blocks: one raw task per block, and a ``ray.put`` ref in ``args``
-    arrives resolved (zero-copy for Arrow and numpy).  On a Dataset: a
-    lazy ``map_batches`` that fuses with its upstream, ``args`` passed
-    as they are."""
+def map_blocks(fn, data):
+    """``fn(table) -> table`` over every block of ``data``: on Blocks
+    one raw task per block, on a Dataset a lazy ``map_batches`` that
+    fuses with its upstream."""
     if isinstance(data, Blocks):
-        return Blocks.counted(_map_block.remote(fn, r, *args)
-                              for r in data.refs)
-    return data.map_batches(fn, fn_args=args or None, batch_format="pyarrow")
+        return Blocks.counted(_map_block.remote(fn, r) for r in data.refs)
+    return data.map_batches(fn, batch_format="pyarrow")
 
 
 def _probe_out_schema(bucket_fn, in_schema: pa.Schema) -> pa.Schema | None:
