@@ -502,8 +502,11 @@ def _sql_canon_chain(linked_select: str) -> str:
     """Shared CTE block (for WITH RECURSIVE queries): linked mentions →
     distinct (entity_id, kb_id) edges → reachability closure → per-node
     component → canon_map (canon = lexicographically smallest ENTITY node
-    of the component; kb: nodes link components but are not canonical ids
-    — stages/unionfind.canonicalize)."""
+    of the component; kb: nodes link components but are not canonical
+    ids).  A general union-find on purpose: the engine
+    (stages/unionfind.canonicalize) takes one kb_id-keyed group-by,
+    exact only while the entity–KB graph is a star forest, so this
+    mirror checks that premise on every gated query."""
     return f"""
         cn_linked AS MATERIALIZED ({linked_select}),
         cn_e0 AS (

@@ -156,20 +156,15 @@ def test_fit_gate_expand_cooc_guard(monkeypatch):
         flagship.fit_model(mentions, PipelineConfig(expand_cooc=True))
 
 
-@pytest.mark.parametrize("driver_threshold", [None, 0])
-def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch,
-                                         driver_threshold):
+def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch):
     """canon_map over linked mentions whose every block is tripled equals
-    the oracle's canon map on both union-find paths (0 forces the
-    distributed rounds), with no global distinct on the entity-KB pairs:
-    both paths take duplicate pairs."""
-    import functools
-
+    the oracle's canon map, with no global distinct on the entity-KB
+    pairs: the kb_id-keyed reduces drop the duplicates."""
     import ray
     import ray.data as rd
 
     from wsid_ray.pipelines import flagship
-    from wsid_ray.stages import groups, unionfind
+    from wsid_ray.stages import groups
 
     oracle, art = tiny_results
     keyed = []
@@ -180,15 +175,11 @@ def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch,
         return real_distinct(ds, key_cols, *a, **kw)
 
     monkeypatch.setattr(groups, "distinct", spy)
-    if driver_threshold is not None:
-        monkeypatch.setattr(flagship, "canonicalize", functools.partial(
-            unionfind.canonicalize, driver_threshold=driver_threshold))
     blocks = ray.get(art.linked_mentions.to_arrow_refs())
     canon = flagship.canon_map(rd.from_arrow(blocks * 3))
     assert canon == oracle["canon"]
     assert ["entity_id", "kb_id"] not in keyed, keyed
-    if driver_threshold is None:
-        assert keyed == []
+    assert keyed == []
 
 
 def test_triple_tail_is_two_shuffles(tiny_results, tmp_path, monkeypatch):
@@ -289,11 +280,14 @@ def test_checkpointed_builds_scorer_once_on_driver(tmp_path, monkeypatch):
 def test_flagship_job_is_one_execution(tmp_path):
     """After its read, run_flagship passes pinned blocks through raw tasks:
     one Ray Data execution before it returns, no row-count task, and no
-    block-metadata task but those of its two returned datasets.  A fresh
+    block-metadata task but those of its two returned datasets; the canon
+    step over pinned linked blocks runs no execution of its own.  A fresh
     run_checkpointed runs one execution per shard read plus one per
     partition write; its resume runs only the lost shard's."""
     from tools.plan_count import counting
     from wsid_ray.pipelines.checkpointed import run_checkpointed
+    from wsid_ray.pipelines.flagship import canon_map
+    from wsid_ray.stages.groups import Blocks
 
     with counting() as c:
         art = run_flagship("tiny")
@@ -302,6 +296,10 @@ def test_flagship_job_is_one_execution(tmp_path):
     assert c["tasks"].get("get_table_block_metadata_schema", 0) \
         <= len(art.linked_mentions.to_arrow_refs()) \
         + len(art.triples.to_arrow_refs()), c
+    linked = Blocks.of(art.linked_mentions)
+    with counting() as canon:
+        assert canon_map(linked) == art.canon_map
+    assert canon["executions"] == 0, canon
 
     out = str(tmp_path / "ckpt")
     with counting() as fresh:

@@ -189,3 +189,24 @@ def test_bloom_anti_join_exact_despite_false_positives():
     want = sorted(k for k in range(1000) if k not in members)
     assert sorted(out["k"]) == want
     assert sorted(out.columns) == ["k", "v"]
+
+
+def test_hash_join_runs_each_input_plan_once():
+    """A hash_join of two lazy inputs executes each input's plan once:
+    2 Ray Data executions, not the 4 of ``Dataset.to_arrow_refs``, which
+    runs a plan a second time to fetch its schema."""
+    import pyarrow.compute as pc
+
+    from tools.plan_count import counting
+
+    def lazy(n, col):
+        return rd.range(n).map_batches(
+            lambda t: pa.table({"k": pc.cast(t["id"], pa.string()),
+                                col: t["id"]}),
+            batch_format="pyarrow")
+
+    with counting() as c:
+        out = hash_join(lazy(20, "x"), lazy(10, "y"), on=["k"],
+                        num_buckets=2)
+    assert c["executions"] == 2, c
+    assert sorted(out.to_pandas()["k"].astype(int)) == list(range(10))

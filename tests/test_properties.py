@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from wsid_ray.config import PipelineConfig
 from wsid_ray.cw import chinese_whispers
 from wsid_ray.oracle import cooc_stats, npmi_edges
-from wsid_ray.stages.unionfind import driver_union_find
 
 tokens = st.sampled_from(["aa1", "bb2", "cc3", "dd4", "ee5", "ff6"])
 windows = st.lists(st.lists(tokens, min_size=1, max_size=6),
@@ -47,31 +46,66 @@ edge_lists = st.lists(
     min_size=0, max_size=40)
 
 
-@settings(max_examples=50, deadline=None)
-@given(edge_lists)
-def test_union_find_canonical_is_component_min(pairs):
-    pairs = [(f"n{a:02d}", f"n{b:02d}") for a, b in pairs]
-    comp = driver_union_find(pairs)
-    # build expected components by BFS
-    adj = {}
-    for a, b in pairs:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack, members = [start], set()
-        while stack:
-            x = stack.pop()
-            if x in members:
-                continue
-            members.add(x)
-            stack.extend(adj[x] - members)
-        seen |= members
-        mn = min(members)
-        for m in members:
-            assert comp[m] == mn
+# A star forest of linked mentions: per entity, one kb_id (or None: not
+# linked) and the blocks its mentions land in, repeats allowed.
+star_forests = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 4)),
+              st.lists(st.integers(0, 3), min_size=1, max_size=3)),
+    min_size=0, max_size=12)
+
+
+def _linked_blocks(entities, n_blocks):
+    """(kb index or None, block indices) per entity -> (linked-mention
+    Blocks, the same mentions as dicts)."""
+    import pyarrow as pa
+    import ray
+
+    from wsid_ray.stages.groups import Blocks
+
+    rows = [[] for _ in range(n_blocks)]
+    for i, (kb, blocks) in enumerate(entities):
+        # not linked: odd entities have no sense, even ones no kb_id
+        m = {"entity_id": f"e{i:02d}#{i % 2}",
+             "sense_id": -1 if kb is None and i % 2 else i % 2,
+             "kb_id": "" if kb is None else f"kb:{kb}"}
+        for b in blocks:
+            rows[b % n_blocks].append(m)
+    schema = pa.schema([("entity_id", pa.string()),
+                        ("sense_id", pa.int64()), ("kb_id", pa.string())])
+    tables = [pa.Table.from_pylist(r, schema=schema) for r in rows]
+    return (Blocks([ray.put(t) for t in tables],
+                   [t.num_rows for t in tables]),
+            [m for r in rows for m in r])
+
+
+@settings(max_examples=30, deadline=None)
+@given(star_forests, st.integers(1, 4))
+def test_canon_map_on_star_forest_matches_oracle(entities, n_blocks):
+    """canon_map's one kb_id-keyed group-by equals the oracle's general
+    union-find on every star forest, duplicate pairs across blocks
+    included."""
+    from wsid_ray.oracle import canonicalize
+    from wsid_ray.pipelines.flagship import canon_map
+
+    blocks, mentions = _linked_blocks(entities, n_blocks)
+    assert canon_map(blocks) == canonicalize(mentions)
+
+
+def test_canon_map_refuses_entity_under_two_kb_ids():
+    """An entity linked to two kb_ids breaks the star premise: canon_map
+    raises, naming it, instead of returning one of its two names."""
+    import pyarrow as pa
+    import pytest
+    import ray
+
+    from wsid_ray.pipelines.flagship import canon_map
+    from wsid_ray.stages.groups import Blocks
+
+    t = pa.table({"entity_id": ["a#0", "a#0", "b#0"],
+                  "sense_id": [0, 0, 0],
+                  "kb_id": ["kb:x", "kb:y", "kb:y"]})
+    with pytest.raises(ValueError, match="a#0"):
+        canon_map(Blocks([ray.put(t)], [t.num_rows]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,45 +1,19 @@
-"""D3 — distributed union-find (hash-to-min) on planted component
-structures; canonical id = min entity of component (FIXTURES.md F3)."""
+"""D3 — canonical ids by one kb_id-keyed group-by; canonical id = min
+entity of its kb_id's star (FIXTURES.md F3)."""
 
 import pyarrow as pa
 import ray.data as rd
 
-from wsid_ray.stages.unionfind import canonicalize, connected_components
+from wsid_ray.stages.unionfind import canonicalize
 
 
-def edges_ds(pairs):
-    return rd.from_arrow(pa.table({
-        "u": pa.array([a for a, _ in pairs]),
-        "v": pa.array([b for _, b in pairs]),
-    }))
-
-
-def test_two_components():
-    comps = connected_components(edges_ds(
-        [("a", "b"), ("b", "c"), ("x", "y")])).take_all()
-    m = {r["node"]: r["comp"] for r in comps}
-    assert m == {"a": "a", "b": "a", "c": "a", "x": "x", "y": "x"}
-
-
-def test_chain_converges_log_rounds():
-    chain = [(f"n{i:02d}", f"n{i+1:02d}") for i in range(12)]
-    comps = connected_components(edges_ds(chain)).take_all()
-    assert {r["comp"] for r in comps} == {"n00"}
-    assert len(comps) == 13
-
-
-import pytest
-
-
-@pytest.mark.parametrize("threshold", [1_000_000, 0],
-                         ids=["driver-path", "distributed-path"])
-def test_canonicalize_excludes_kb_nodes(threshold):
+def test_canonicalize_excludes_kb_nodes():
     ekb = rd.from_arrow(pa.table({
         "entity_id": ["jaguars#0", "jaguar#1", "python#0"],
         "kb_id": ["kb:jag_animal", "kb:jag_animal", "kb:py_lang"],
     }))
     canon = {r["entity_id"]: r["canon_id"]
-             for r in canonicalize(ekb, driver_threshold=threshold).take_all()}
+             for r in canonicalize(ekb).take_all()}
     # alias + base share kb candidate -> merged; canon = min entity id
     assert canon["jaguars#0"] == "jaguar#1"
     assert canon["jaguar#1"] == "jaguar#1"

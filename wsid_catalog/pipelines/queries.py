@@ -2766,7 +2766,7 @@ def q_doc_near_dup_keep_longest(sf_dir: str) -> rd.Dataset:
     from wsid_catalog.stages.dedup import jaccard_pairs
     from wsid_ray.stages.groups import bucketed_group_apply
     from wsid_catalog.stages.joins import hash_join
-    from wsid_ray.stages.unionfind import connected_components
+    from wsid_catalog.stages.components import connected_components
 
     pairs = jaccard_pairs(read_documents(sf_dir), threshold=0.5,
                           shingle_k=3)
@@ -2809,7 +2809,7 @@ def q_doc_dup_components(sf_dir: str) -> rd.Dataset:
     zero-padded so lexicographic min == numeric min.  SQL oracle:
     recursive CTE reachability + min label."""
     from wsid_catalog.stages.dedup import simhash_near_dup
-    from wsid_ray.stages.unionfind import connected_components
+    from wsid_catalog.stages.components import connected_components
 
     pairs = simhash_near_dup(read_documents(sf_dir), max_hamming=3)
 

@@ -19,7 +19,7 @@ Distributed shape (100 TB design point): eps-pairs come from the same
 block-pair triangle join as stages/knn.near_dup_pairs — O(n^2/B^2)
 compute per task, O(n*B) movement, no driver collect; degrees and
 border attachment are bucketed folds over the edge list; cluster
-labelling is stages/unionfind.connected_components (hash-to-min
+labelling is stages/components.connected_components (hash-to-min
 rounds with a distributed convergence checksum).  At open scale the
 quadratic pair stage is the bottleneck by design — swap in the LSH /
 IVF bucket prefilter exactly as the ANN family does, at the cost of
@@ -123,7 +123,7 @@ def dbscan(sf_dir: str, eps_milli: int = DBSCAN_EPS_MILLI,
     core component (-1 for noise)."""
     from wsid_ray.util import collect_rows
     from wsid_catalog.stages.knn import read_embeddings
-    from wsid_ray.stages.unionfind import connected_components
+    from wsid_catalog.stages.components import connected_components
 
     emb = read_embeddings(sf_dir)
     edges = eps_pairs(emb, eps_milli).materialize()

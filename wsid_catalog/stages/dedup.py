@@ -248,7 +248,7 @@ def near_dup_drop_list(docs: rd.Dataset, threshold: float = 0.5,
 
     Returns one row per DROPPED document: (doc_id, kept_by) with
     kept_by the component's minimum doc_id.  Every stage is the already
-    SQL-checked bucketed machinery (jaccard_pairs, unionfind) — nothing
+    SQL-checked bucketed machinery (jaccard_pairs, components) — nothing
     new moves at scale; the CC node set is near-dup-pair-bounded, far
     below corpus size."""
     pairs = jaccard_pairs(docs, threshold=threshold, shingle_k=shingle_k)
@@ -261,7 +261,7 @@ def drops_from_pairs(pairs: rd.Dataset) -> rd.Dataset:
     checkpointed chain can resume from persisted verified pairs."""
     import pyarrow.compute as pc
 
-    from wsid_ray.stages.unionfind import connected_components
+    from wsid_catalog.stages.components import connected_components
 
     # CC labels are strings with lexicographic min — zero-pad the int64
     # doc ids so lexicographic == numeric order

@@ -82,8 +82,8 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
     """Partitioned hash join of two Datasets on ``on`` columns."""
     on = list(on)
     B = num_buckets
-    lrefs = left.to_arrow_refs()
-    rrefs = right.to_arrow_refs()
+    lrefs = Blocks.of(left).refs
+    rrefs = Blocks.of(right).refs
     lsplit = [_split_block.options(num_returns=B).remote(on, B, b)
               for b in lrefs]
     rsplit = [_split_block.options(num_returns=B).remote(on, B, b)
@@ -165,8 +165,8 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, *,
     the right side by time range upstream if one key alone exceeds a
     task's memory."""
     B = num_buckets
-    lrefs = left.to_arrow_refs()
-    rrefs = right.to_arrow_refs()
+    lrefs = Blocks.of(left).refs
+    rrefs = Blocks.of(right).refs
     lsplit = [_split_block.options(num_returns=B).remote([by_left], B, b)
               for b in lrefs]
     rsplit = [_split_block.options(num_returns=B).remote([by_right], B, b)
@@ -220,9 +220,9 @@ def bucketed_pair_apply(left: rd.Dataset, right: rd.Dataset, *,
     required so empty buckets emit typed blocks (schema-stable stream)."""
     B = num_buckets
     lsplit = [_split_block.options(num_returns=B).remote(list(on_left), B, b)
-              for b in left.to_arrow_refs()]
+              for b in Blocks.of(left).refs]
     rsplit = [_split_block.options(num_returns=B).remote(list(on_right), B, b)
-              for b in right.to_arrow_refs()]
+              for b in Blocks.of(right).refs]
     if B == 1:  # num_returns=1 yields a bare ref, not a 1-tuple
         lsplit = [[r] for r in lsplit]
         rsplit = [[r] for r in rsplit]
@@ -320,7 +320,7 @@ def bloom_semi_join(big: rd.Dataset, keys: rd.Dataset, key_col: str,
 
     from wsid_ray.stages.groups import distinct
 
-    krefs = keys.to_arrow_refs()
+    krefs = Blocks.of(keys).refs
     parts = [_block_bloom.remote(b, key_col, m_log2) for b in krefs]
     while len(parts) > 1:
         parts = [_or_blooms.remote(*parts[i:i + 8])
@@ -368,7 +368,7 @@ def bloom_anti_join(big: rd.Dataset, keys: rd.Dataset, key_col: str,
 
     from wsid_ray.stages.groups import distinct
 
-    krefs = keys.to_arrow_refs()
+    krefs = Blocks.of(keys).refs
     parts = [_block_bloom.remote(b, key_col, m_log2) for b in krefs]
     while len(parts) > 1:
         parts = [_or_blooms.remote(*parts[i:i + 8])
@@ -392,8 +392,7 @@ def bloom_anti_join(big: rd.Dataset, keys: rd.Dataset, key_col: str,
         return pc.is_in(col, value_set=uniq.filter(pa.array(ok)))
 
     # one materialisation of big, consumed twice (definite path + residue)
-    brefs = big.map_batches(lambda t: t, batch_format="pyarrow") \
-               .to_arrow_refs()
+    brefs = Blocks.of(big).refs
     definite = rd.from_arrow_refs(brefs).map_batches(
         lambda t: t.filter(pc.invert(hit_mask(t))),
         batch_format="pyarrow")

@@ -3,8 +3,8 @@ a checkpointed sink.  Each partition is one manifest row with lineage and
 throughput, timed over the work that builds it (BASELINE.json:6).
 
   senses, edges, canon   global: the fit's inventory (and its pruned
-                         edges with expand_cooc) and the union-find
-                         canon map
+                         edges with expand_cooc) and the canon map
+                         (one kb_id-keyed group-by, stages/unionfind.py)
   triples/part-<k>       input shard k: linked mentions → one turn-keyed
                          shuffle that assembles every triple → one
                          within-shard dedup shuffle, subj-bucketed (S3)

@@ -21,10 +21,12 @@ the triples.
 3. ``linker``: disambiguate + entity-link (A2/A3) the same pinned
    mentions, one task per block reading the broadcast scorer; both later
    steps read the linked blocks.
-4. ``canon_map``: per-block distinct (entity_id, kb_id) pairs, then the
-   union-find (D3); then two shuffles: one keyed on (conv_id, turn_idx)
-   whose reduces emit every triple of their turns (M8), and the
-   (subj, pred, obj) dedup (D1).
+4. ``canon_map``: per-block distinct (entity_id, kb_id) pairs, then one
+   kb_id-keyed shuffle whose reduces name each entity by the smallest
+   entity_id sharing its kb_id (D3: the entity–KB graph is a star forest,
+   ``stages/unionfind.py``); then two shuffles: one keyed on
+   (conv_id, turn_idx) whose reduces emit every triple of their turns
+   (M8), and the (subj, pred, obj) dedup (D1).
 """
 
 from __future__ import annotations
@@ -130,17 +132,23 @@ def _kb_pairs(t: pa.Table) -> pa.Table:
 
 def entity_kb_edges(linked):
     """linked mentions -> their (entity_id, kb_id) pairs, distinct per
-    block only (a Dataset or ``Blocks``, as given): both canonicalize
-    paths take duplicate pairs (the driver union-find is idempotent,
-    connected_components dedups its symmetric edges first)."""
+    block only (a Dataset or ``Blocks``, as given): canonicalize's
+    reduces drop the duplicates."""
     return map_blocks(_kb_pairs, linked)
 
 
 def canon_map(linked) -> dict[str, str]:
-    """linked mentions -> {entity_id: canon_id}."""
+    """linked mentions -> {entity_id: canon_id}.  Raises ValueError for an
+    entity linked to two kb_ids: the canon step assumes each entity has
+    one (``stages/unionfind.py``)."""
     from ..util import collect_rows
-    rows = collect_rows(canonicalize(entity_kb_edges(linked)))
-    return {r["entity_id"]: r["canon_id"] for r in rows}
+    canon: dict[str, str] = {}
+    for r in collect_rows(canonicalize(entity_kb_edges(linked))):
+        if r["entity_id"] in canon:
+            raise ValueError(f"entity {r['entity_id']!r} is linked to two "
+                             "kb_ids; canon_map needs one kb_id per entity")
+        canon[r["entity_id"]] = r["canon_id"]
+    return canon
 
 
 def run_flagship(sf_dir_or_scale: str,
