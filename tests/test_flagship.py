@@ -156,17 +156,25 @@ def test_fit_gate_expand_cooc_guard(monkeypatch):
         flagship.fit_model(mentions, PipelineConfig(expand_cooc=True))
 
 
-def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch):
+# ids kept from the former union-find paths: None, the default shape (one
+# reduce at this size); 0, the pairs split on kb_id over several reduces
+@pytest.mark.parametrize("rows_per_bucket", [None, 16], ids=["None", "0"])
+def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch,
+                                         rows_per_bucket):
     """canon_map over linked mentions whose every block is tripled equals
-    the oracle's canon map, with no global distinct on the entity-KB
-    pairs: the kb_id-keyed reduces drop the duplicates."""
+    the oracle's canon map in one reduce or split over several, with no
+    global distinct on the entity-KB pairs: the kb_id-keyed reduces drop
+    the duplicates."""
     import ray
     import ray.data as rd
 
+    from tools.plan_count import counting
     from wsid_ray.pipelines import flagship
     from wsid_ray.stages import groups
 
     oracle, art = tiny_results
+    if rows_per_bucket is not None:
+        monkeypatch.setattr(groups, "ROWS_PER_BUCKET", rows_per_bucket)
     keyed = []
     real_distinct = groups.distinct
 
@@ -176,10 +184,13 @@ def test_canon_map_takes_duplicate_pairs(tiny_results, monkeypatch):
 
     monkeypatch.setattr(groups, "distinct", spy)
     blocks = ray.get(art.linked_mentions.to_arrow_refs())
-    canon = flagship.canon_map(rd.from_arrow(blocks * 3))
+    with counting() as c:
+        canon = flagship.canon_map(rd.from_arrow(blocks * 3))
     assert canon == oracle["canon"]
     assert ["entity_id", "kb_id"] not in keyed, keyed
     assert keyed == []
+    split = c["tasks"].get("_split_block", 0)
+    assert (split > 0) == (rows_per_bucket is not None), c
 
 
 def test_triple_tail_is_two_shuffles(tiny_results, tmp_path, monkeypatch):
